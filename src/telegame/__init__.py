@@ -37,16 +37,9 @@ from .gaussian import (
     tensor,
     vacuum,
 )
-from .montecarlo import (
-    McConfig,
-    McEstimate,
-    estimate_fidelities,
-    sample_bell_outcome,
-    sample_heterodyne_outcome,
-)
+from .montecarlo import McConfig, McEstimate, estimate_fidelities
 from .protocols import (
     StrategyOutcome,
-    alternation_fidelity,
     average_coherent_fidelity,
     coop_measurer_average_fidelity,
     f_ab_coop,
@@ -73,7 +66,6 @@ __all__ = [
     "TelegameError",
     "ThresholdResult",
     "ZERO_AMPLITUDE",
-    "alternation_fidelity",
     "apply_symplectic",
     "average_coherent_fidelity",
     "beam_splitter_50_50",
@@ -101,8 +93,6 @@ __all__ = [
     "reduced_channel",
     "run_coop_pipeline",
     "run_noncoop_pipeline",
-    "sample_bell_outcome",
-    "sample_heterodyne_outcome",
     "sweep",
     "symplectic_form",
     "tensor",

@@ -7,34 +7,16 @@ failure, 4 solver failure, 5 statistical-consistency failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .analysis import find_classical_crossings, find_threshold, sweep
+from .analysis import find_threshold, sweep
 from .channel import build_cm, channel_params, exchange_symmetry_check, kappa
+from .checks import CHECKS, compare_to_closed_forms
 from .errors import BracketError, DomainError, InvalidInputError
-from .gaussian import ComplexAmplitude, ZERO_AMPLITUDE, physicality
+from .gaussian import physicality
 from .montecarlo import McConfig, estimate_fidelities
-from .protocols import (
-    coop_measurer_average_fidelity,
-    f_ab_coop,
-    f_ac_coop,
-    f_coop_avg,
-    f_noncoop,
-    run_coop_pipeline,
-    run_noncoop_pipeline,
-)
-
-# statistical checks compare against 3 standard errors; the floor keeps the
-# comparison meaningful for estimators whose sample spread is exactly zero
-_STAT_FLOOR = 1e-12
-
-_GRID = np.linspace(0.5, 50.0, 500)
 
 
 def _fmt(value: float) -> str:
@@ -69,12 +51,8 @@ def cmd_sweep(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
         return 0
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 3
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
     return 0
 
 
@@ -96,245 +74,38 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.shots < 2:
+        raise InvalidInputError(f"shots must be >= 2 for a standard error, got {args.shots}")
     config = McConfig(
         shots=args.shots, seed=args.seed, alpha=args.alpha,
         input_ensemble_std=args.ensemble_std,
     )
     est = estimate_fidelities(config, workers=args.workers)
-    closed = {
-        "f_tr": f_noncoop(args.alpha),
-        "f_ab": f_ab_coop(args.alpha),
-        "f_ac": f_ac_coop(args.alpha),
-    }
-    hats = {"f_tr": est.f_tr_hat, "f_ab": est.f_ab_hat, "f_ac": est.f_ac_hat}
-    errs = {"f_tr": est.stderr_tr, "f_ab": est.stderr_ab, "f_ac": est.stderr_ac}
-    consistent = {
-        k: abs(hats[k] - closed[k]) <= 3.0 * errs[k] + _STAT_FLOOR for k in closed
-    }
+    rows = compare_to_closed_forms(args.alpha, est)
+    consistent = all(row[-1] for row in rows)
     if args.json:
         payload = {"alpha": args.alpha, "shots": est.shots, "seed": args.seed,
                    "ensemble_std": args.ensemble_std}
-        for k in closed:
-            payload[f"{k}_closed"] = closed[k]
-            payload[f"{k}_hat"] = hats[k]
-            payload[f"{k}_stderr"] = errs[k]
-        payload["consistent"] = all(consistent.values())
+        for name, closed, hat, err, _ in rows:
+            payload[f"{name}_closed"] = closed
+            payload[f"{name}_hat"] = hat
+            payload[f"{name}_stderr"] = err
+        payload["consistent"] = consistent
         print(json.dumps(payload))
     else:
         print(f"alpha {_fmt(args.alpha)}  shots {est.shots}  seed {args.seed}  "
               f"ensemble_std {_fmt(args.ensemble_std)}")
-        for k in ("f_tr", "f_ab", "f_ac"):
-            verdict = "ok" if consistent[k] else "OFF>3SIGMA"
-            print(f"{k}  closed={_fmt(closed[k])}  estimate={_fmt(hats[k])}  "
-                  f"stderr={errs[k]:.3e}  {verdict}")
-    return 0 if all(consistent.values()) else 5
-
-
-# --- verification checks ------------------------------------------------------
-
-
-def _check_noncloning_optimum():
-    if abs(f_noncoop(2.0) - 2.0 / 3.0) > 1e-14:
-        return f"f_noncoop(2) = {f_noncoop(2.0)!r} is not 2/3"
-    values = [f_noncoop(a) for a in _GRID]
-    best = _GRID[int(np.argmax(values))]
-    step = _GRID[1] - _GRID[0]
-    if abs(best - 2.0) > step:
-        return f"argmax of f_noncoop at {best}, expected 2 within one grid step"
-    return None
-
-
-def _check_threshold():
-    res = find_threshold(1e-9)
-    if not 5.70 <= res.alpha_th <= 5.82:
-        return f"alpha_th = {res.alpha_th} outside [5.70, 5.82]"
-    if res.residual > 1e-9:
-        return f"residual {res.residual} above 1e-9"
-    return None
-
-
-def _check_ordering_grid():
-    for a in _GRID:
-        f_tr, f_ab, f_ac = f_noncoop(a), f_ab_coop(a), f_ac_coop(a)
-        if f_ab < f_tr - 1e-14:
-            return f"f_ab < f_tr at alpha={a}"
-        if not f_ac < f_tr:
-            return f"f_ac >= f_tr at alpha={a}"
-        if f_ac > 0.5:
-            return f"f_ac > 1/2 at alpha={a}"
-    return None
-
-
-def _check_physicality_grid():
-    for a in _GRID:
-        if not physicality(build_cm(channel_params(a)).cov):
-            return f"channel at alpha={a} failed the uncertainty check"
-    try:
-        channel_params(0.4)
-    except DomainError:
-        pass
-    else:
-        return "channel_params(0.4) did not raise a domain error"
-    return None
-
-
-def _check_exchange_grid():
-    for a in _GRID[::10]:
-        if not exchange_symmetry_check(build_cm(channel_params(a))):
-            return f"channel at alpha={a} not receiver-symmetric"
-    return None
-
-
-def _random_tuples(count):
-    rng = np.random.default_rng(20240917)
-    for _ in range(count):
-        alpha = float(0.5 + 49.5 * rng.random())
-        amp = ComplexAmplitude(*rng.normal(0, 2, 2))
-        eta = ComplexAmplitude(*rng.normal(0, 2, 2))
-        mu = ComplexAmplitude(*rng.normal(0, 2, 2))
-        yield alpha, amp, eta, mu
-
-
-def _check_pipeline_noncoop():
-    for alpha, amp, eta, _ in _random_tuples(100):
-        out = run_noncoop_pipeline(alpha, amp, eta)
-        if abs(out.fidelity_bob - f_noncoop(alpha)) > 1e-10:
-            return f"pipeline F_tr off at alpha={alpha}"
-        if np.abs(out.mean_residual_bob).max() > 1e-9:
-            return f"non-zero mean residual at alpha={alpha}"
-    return None
-
-
-def _check_pipeline_fab():
-    for alpha, amp, eta, mu in _random_tuples(100):
-        out = run_coop_pipeline(alpha, amp, eta, mu)
-        if abs(out.fidelity_bob - f_ab_coop(alpha)) > 1e-10:
-            return f"pipeline F_AB off at alpha={alpha}"
-        if np.abs(out.mean_residual_bob).max() > 1e-9:
-            return f"non-zero mean residual at alpha={alpha}"
-    return None
-
-
-def _check_measurer_average():
-    for alpha in (0.5, 2.0, 10.0):
-        got = coop_measurer_average_fidelity(alpha)
-        if abs(got - f_ac_coop(alpha)) > 1e-10:
-            return f"exact outcome average {got} != 1/(kappa+1) at alpha={alpha}"
-    return None
-
-
-def _check_outcome_independence():
-    eta1, eta2 = ComplexAmplitude(0.3, -1.1), ComplexAmplitude(-2.0, 0.7)
-    mu1, mu2 = ComplexAmplitude(1.4, 0.2), ComplexAmplitude(-0.6, -0.9)
-    amp = ComplexAmplitude(0.8, -0.5)
-    a = run_noncoop_pipeline(2.0, amp, eta1)
-    b = run_noncoop_pipeline(2.0, amp, eta2)
-    if np.abs(a.conditional_cov_bob - b.conditional_cov_bob).max() > 1e-12:
-        return "non-cooperative output covariance depends on the Bell record"
-    c = run_coop_pipeline(2.0, amp, eta1, mu1)
-    d = run_coop_pipeline(2.0, amp, eta2, mu2)
-    if np.abs(c.conditional_cov_bob - d.conditional_cov_bob).max() > 1e-12:
-        return "cooperative output covariance depends on the records"
-    return None
-
-
-def _check_crossing_noncoop():
-    alpha_tr, _ = find_classical_crossings()
-    expected = 5.0 + 2.0 * math.sqrt(5.0)
-    if abs(alpha_tr - expected) > 1e-6:
-        return f"f_noncoop=1/2 crossing {alpha_tr} != 5+2*sqrt(5)"
-    return None
-
-
-def _check_crossing_coop_larger():
-    alpha_tr, alpha_coop = find_classical_crossings()
-    if not alpha_coop > alpha_tr:
-        return f"cooperative crossing {alpha_coop} not above {alpha_tr}"
-    if abs(f_coop_avg(alpha_coop) - 0.5) > 1e-9:
-        return "cooperative crossing residual above 1e-9"
-    return None
-
-
-def _check_sweep_single_crossing():
-    rows = sweep(0.5, 12.0, 200)
-    signs = [r.f_coop - r.f_tr for r in rows]
-    changes = [
-        (rows[i].alpha, rows[i + 1].alpha)
-        for i in range(len(signs) - 1)
-        if signs[i] < 0.0 <= signs[i + 1] or signs[i] >= 0.0 > signs[i + 1]
-    ]
-    if len(changes) != 1:
-        return f"expected exactly one crossing, found {len(changes)}"
-    alpha_th = find_threshold(1e-9).alpha_th
-    lo, hi = changes[0]
-    if not lo <= alpha_th <= hi:
-        return f"crossing bracket ({lo}, {hi}) misses alpha_th={alpha_th}"
-    if _render_csv(rows) != _render_csv(sweep(0.5, 12.0, 200)):
-        return "sweep CSV is not byte-stable"
-    return None
-
-
-@functools.lru_cache(maxsize=1)
-def _mc_estimates():
-    results = {}
-    for alpha in (0.5, 2.0, 5.76, 10.0):
-        cfg = McConfig(shots=100_000, seed=42, alpha=alpha)
-        results[alpha] = estimate_fidelities(cfg)
-    return results
-
-
-def _check_mc_consistency():
-    for alpha, est in _mc_estimates().items():
-        targets = (
-            (f_noncoop(alpha), est.f_tr_hat, est.stderr_tr, "f_tr"),
-            (f_ab_coop(alpha), est.f_ab_hat, est.stderr_ab, "f_ab"),
-            (f_ac_coop(alpha), est.f_ac_hat, est.stderr_ac, "f_ac"),
-        )
-        for closed, hat, err, name in targets:
-            if abs(hat - closed) > 3.0 * err + _STAT_FLOOR:
-                return f"{name} estimate {hat} off closed form {closed} at alpha={alpha}"
-    return None
-
-
-def _check_mc_outcome_spread():
-    for alpha, est in _mc_estimates().items():
-        for err, name in ((est.stderr_tr, "f_tr"), (est.stderr_ab, "f_ab")):
-            spread = err * math.sqrt(est.shots)
-            if spread > 1e-9:
-                return f"per-shot spread of {name} is {spread} at alpha={alpha}"
-    return None
-
-
-def _check_mc_determinism():
-    cfg = McConfig(shots=20_000, seed=7, alpha=2.0)
-    if estimate_fidelities(cfg) != estimate_fidelities(cfg, workers=4):
-        return "estimate depends on the degree of parallelism"
-    return None
-
-
-_CHECKS = [
-    ("noncloning-optimum", _check_noncloning_optimum),
-    ("threshold-bracket", _check_threshold),
-    ("fidelity-ordering-grid", _check_ordering_grid),
-    ("channel-physicality-grid", _check_physicality_grid),
-    ("exchange-symmetry-grid", _check_exchange_grid),
-    ("pipeline-noncoop-matches-closed-form", _check_pipeline_noncoop),
-    ("pipeline-fab-matches-closed-form", _check_pipeline_fab),
-    ("measurer-average-matches-closed-form", _check_measurer_average),
-    ("pipeline-outcome-independence", _check_outcome_independence),
-    ("classical-crossing-noncoop", _check_crossing_noncoop),
-    ("classical-crossing-coop-larger", _check_crossing_coop_larger),
-    ("sweep-single-crossing", _check_sweep_single_crossing),
-    ("mc-consistency", _check_mc_consistency),
-    ("mc-outcome-spread", _check_mc_outcome_spread),
-    ("mc-determinism", _check_mc_determinism),
-]
+        for name, closed, hat, err, ok in rows:
+            verdict = "ok" if ok else "OFF>3SIGMA"
+            print(f"{name}  closed={_fmt(closed)}  estimate={_fmt(hat)}  "
+                  f"stderr={err:.3e}  {verdict}")
+    return 0 if consistent else 5
 
 
 def cmd_verify(args) -> int:
     failures = []
-    width = max(len(name) for name, _ in _CHECKS)
-    for name, check in _CHECKS:
+    width = max(len(name) for name, _ in CHECKS)
+    for name, check in CHECKS:
         message = check()
         status = "PASS" if message is None else "FAIL"
         detail = "" if message is None else f"  {message}"
@@ -344,7 +115,7 @@ def cmd_verify(args) -> int:
     if failures:
         print(f"failed: {', '.join(failures)}", file=sys.stderr)
         return 1
-    print(f"all {len(_CHECKS)} checks passed")
+    print(f"all {len(CHECKS)} checks passed")
     return 0
 
 

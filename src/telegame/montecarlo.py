@@ -26,7 +26,6 @@ from .gaussian import (
     beam_splitter_50_50,
     beam_splitter_matrix,
     displace,
-    heterodyne_outcome_distribution,
     homodyne_update,
     make_coherent,
     tensor,
@@ -64,31 +63,6 @@ def _shot_rng(seed: int, shot: int) -> np.random.Generator:
     """Independent stream for one shot: same key, counters 2^64 blocks apart."""
     bitgen = np.random.Philox(key=seed, counter=[0, shot, 0, 0])
     return np.random.Generator(bitgen)
-
-
-def sample_bell_outcome(state: GaussianState, rng: np.random.Generator) -> ComplexAmplitude:
-    """Draw the announced Bell result from a post-beam-splitter joint state.
-
-    Expects the pipeline mode layout [in, a, ...]: after the beam splitter,
-    X_minus lives on the x quadrature of mode 1 and P_plus on the p
-    quadrature of mode 0. Returns eta = (-X_minus, P_plus).
-    """
-    if state.modes < 2:
-        raise InvalidInputError("need at least the two beam-splitter ports")
-    idx = [2, 1]  # x of mode 1, p of mode 0
-    mean = state.mean[idx]
-    cov = state.cov[np.ix_(idx, idx)]
-    x_minus, p_plus = mean + np.linalg.cholesky(cov) @ rng.standard_normal(2)
-    return ComplexAmplitude(-x_minus, p_plus)
-
-
-def sample_heterodyne_outcome(
-    state: GaussianState, mode: int, rng: np.random.Generator
-) -> ComplexAmplitude:
-    """Draw a heterodyne result from its exact outcome law."""
-    mean_amp, cov = heterodyne_outcome_distribution(state, mode)
-    m = mean_amp.as_mean() + np.linalg.cholesky(cov) @ rng.standard_normal(2)
-    return ComplexAmplitude.from_mean(m)
 
 
 class _ShotKernel:

@@ -76,12 +76,6 @@ def f_coop_avg(alpha: float) -> float:
     return 0.5 * (f_ab_coop(alpha) + f_ac_coop(alpha))
 
 
-def alternation_fidelity(alpha: float) -> float:
-    """Same as :func:`f_coop_avg`; by exchange symmetry the two role
-    assignments give exactly inverted per-receiver fidelities."""
-    return f_coop_avg(alpha)
-
-
 def two_mode_teleport_fidelity(A, B, C) -> float:
     """Coherent-state teleportation fidelity through a two-mode resource.
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from telegame import ComplexAmplitude
-from telegame import cli
+from telegame import checks, cli
 
 
 def run(capsys, *argv):
@@ -53,9 +53,11 @@ class TestSweepCommand:
         assert a.startswith(b"alpha,f_tr,f_ab,f_ac,f_coop\n")
 
     def test_unwritable_path_exits_3(self, capsys):
-        code, _, err = run(capsys, "sweep", "--out", "/nonexistent-dir/x.csv")
+        path = "/nonexistent-dir/x.csv"
+        code, _, err = run(capsys, "sweep", "--out", path)
         assert code == 3
         assert "error" in err
+        assert path in err
 
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "sweep", "--alpha-min", "5", "--alpha-max", "1")
@@ -107,6 +109,13 @@ class TestSimulateCommand:
         assert code == 2
         assert "shots" in err
 
+    def test_single_shot_exits_2(self, capsys):
+        """One shot has no standard error, so the 3-sigma verdict is undefined."""
+        code, out, err = run(capsys, "simulate", "--alpha", "2", "--shots", "1")
+        assert code == 2
+        assert out == ""
+        assert "shots" in err
+
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--alpha", "2", "--frobnicate", "1"])
@@ -119,7 +128,7 @@ class TestSimulateCommand:
 
     def test_inconsistent_estimate_exits_5(self, capsys, monkeypatch):
         # force a mismatch by lying about the closed form
-        monkeypatch.setattr(cli, "f_noncoop", lambda alpha: 0.9)
+        monkeypatch.setattr(checks, "f_noncoop", lambda alpha: 0.9)
         code, out, _ = run(capsys, "simulate", "--alpha", "2", "--shots", "2000", "--seed", "1")
         assert code == 5
         assert "OFF>3SIGMA" in out
@@ -140,12 +149,28 @@ class TestSolverFailureExitCode:
 
 class TestVerifyCommand:
     def test_all_checks_pass(self, capsys):
-        cli._mc_estimates.cache_clear()
         code, out, _ = run(capsys, "verify")
         assert code == 0
         lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
-        assert len(lines) >= 10
+        assert len(lines) == len(checks.CHECKS)
         assert all(line.startswith("PASS") for line in lines)
+        assert [line.split()[1] for line in lines] == [
+            "noncloning-optimum",
+            "threshold-bracket",
+            "fidelity-ordering-grid",
+            "channel-physicality-grid",
+            "exchange-symmetry-grid",
+            "pipeline-noncoop-matches-closed-form",
+            "pipeline-fab-matches-closed-form",
+            "measurer-average-matches-closed-form",
+            "pipeline-outcome-independence",
+            "classical-crossing-noncoop",
+            "classical-crossing-coop-larger",
+            "sweep-single-crossing",
+            "mc-consistency",
+            "mc-outcome-spread",
+            "mc-determinism",
+        ]
 
     def test_sign_mutation_is_caught(self, capsys, monkeypatch):
         """Flipping the sign of the cooperative correction must trip the
@@ -160,7 +185,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr("telegame.protocols.modified_shift", flipped)
         code, out, err = run(capsys, "verify")
-        cli._mc_estimates.cache_clear()  # drop results computed with the mutation
+        checks._mc_estimates.cache_clear()  # drop results computed with the mutation
         assert code == 1
         failing = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert any("pipeline-fab-matches-closed-form" in line for line in failing)

@@ -7,86 +7,14 @@ from telegame import (
     ComplexAmplitude,
     InvalidInputError,
     McConfig,
-    beam_splitter_50_50,
-    build_cm,
-    channel_params,
     estimate_fidelities,
     f_ab_coop,
     f_ac_coop,
     f_noncoop,
     fidelity_vs_coherent,
     make_coherent,
-    sample_bell_outcome,
-    sample_heterodyne_outcome,
-    tensor,
-    vacuum,
 )
 from telegame.montecarlo import _ShotKernel, _shot_rng
-
-
-def post_bs_state(alpha, amp=ComplexAmplitude(0.0, 0.0)):
-    joint = tensor(make_coherent(amp), build_cm(channel_params(alpha)))
-    return beam_splitter_50_50(joint, 1, 0)
-
-
-class TestBellSampling:
-    def test_zero_drift_mean_and_variance(self):
-        """Vacuum input through the zero-mean channel: the announced result
-        is centred, with the marginal variance of the measured port."""
-        state = post_bs_state(2.0)
-        rng = np.random.default_rng(5)
-        n = 100_000
-        draws = np.array([sample_bell_outcome(state, rng).as_array() for _ in range(n)])
-        analytic_var = (2.0 + 0.5) / 2.0  # (alpha + 1/2)/2 for each Bell quadrature
-        stderr = math.sqrt(analytic_var / n)
-        assert abs(draws[:, 0].mean()) < 4 * stderr
-        assert abs(draws[:, 1].mean()) < 4 * stderr
-        assert draws[:, 0].var() == pytest.approx(analytic_var, rel=0.05)
-        assert draws[:, 1].var() == pytest.approx(analytic_var, rel=0.05)
-
-    def test_sign_convention(self):
-        """Result is (-X_minus, P_plus): a displaced input shifts the real
-        part positively (X_minus tracks minus the input x mean)."""
-        state = post_bs_state(2.0, ComplexAmplitude(6.0, 0.0))
-        rng = np.random.default_rng(3)
-        draws = np.array([sample_bell_outcome(state, rng).as_array() for _ in range(2000)])
-        assert draws[:, 0].mean() > 5.0  # -E[X_minus] = +u_x/sqrt(2) = 6
-
-    def test_fixed_seed_reproduces(self):
-        state = post_bs_state(1.3)
-        a = [sample_bell_outcome(state, np.random.default_rng(11)).as_array() for _ in range(50)]
-        b = [sample_bell_outcome(state, np.random.default_rng(11)).as_array() for _ in range(50)]
-        np.testing.assert_array_equal(a, b)
-
-    def test_single_mode_rejected(self):
-        with pytest.raises(InvalidInputError):
-            sample_bell_outcome(vacuum(1), np.random.default_rng(0))
-
-
-class TestHeterodyneSampling:
-    def test_vacuum_outcome_covariance(self):
-        rng = np.random.default_rng(8)
-        n = 30_000
-        draws = np.array(
-            [sample_heterodyne_outcome(vacuum(1), 0, rng).as_mean() for _ in range(n)]
-        )
-        cov = np.cov(draws.T)
-        np.testing.assert_allclose(cov, np.eye(2), atol=0.05)
-
-    def test_coherent_mean(self):
-        rng = np.random.default_rng(9)
-        n = 30_000
-        st = make_coherent(ComplexAmplitude(1.0, 0.0))
-        draws = np.array([sample_heterodyne_outcome(st, 0, rng).as_array() for _ in range(n)])
-        stderr = math.sqrt(0.5 / n)
-        assert draws[:, 0].mean() == pytest.approx(1.0, abs=4 * stderr)
-        assert draws[:, 1].mean() == pytest.approx(0.0, abs=4 * stderr)
-
-    def test_fixed_seed_reproduces(self):
-        st = make_coherent(ComplexAmplitude(0.5, -0.5))
-        a = [sample_heterodyne_outcome(st, 0, np.random.default_rng(2)).as_array() for _ in range(20)]
-        b = [sample_heterodyne_outcome(st, 0, np.random.default_rng(2)).as_array() for _ in range(20)]
-        np.testing.assert_array_equal(a, b)
 
 
 class TestShotKernel:

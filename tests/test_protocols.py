@@ -7,7 +7,6 @@ from telegame import (
     ComplexAmplitude,
     DomainError,
     InvalidInputError,
-    alternation_fidelity,
     average_coherent_fidelity,
     build_cm,
     channel_params,
@@ -66,10 +65,6 @@ class TestClosedForms:
         assert f_coop_avg(5.76) == pytest.approx(0.5858, abs=5e-4)
         assert f_coop_avg(10.0) > f_noncoop(10.0)
         assert f_coop_avg(2.0) < f_noncoop(2.0)
-
-    def test_alternation_equals_average(self):
-        for alpha in (0.7, 2.0, 5.76, 20.0):
-            assert alternation_fidelity(alpha) == f_coop_avg(alpha)
 
     @pytest.mark.parametrize("fn", [f_noncoop, f_ab_coop, f_ac_coop, f_coop_avg])
     def test_domain(self, fn):
