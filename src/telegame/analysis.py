@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ class ThresholdResult:
 
 def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[SweepRow]:
     """Closed-form fidelities on a uniform alpha grid, endpoints included."""
+    if not (math.isfinite(alpha_min) and math.isfinite(alpha_max)):
+        raise InvalidInputError(f"alpha_min and alpha_max must be finite, got [{alpha_min}, {alpha_max}]")
     if not (0.5 <= alpha_min < alpha_max):
         raise InvalidInputError(f"need 1/2 <= alpha_min < alpha_max, got [{alpha_min}, {alpha_max}]")
     if steps < 2:

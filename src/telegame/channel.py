@@ -37,7 +37,9 @@ def channel_params(alpha: float) -> ChannelParams:
     Below alpha = 1/2 delta would turn imaginary, so that is a hard domain edge.
     """
     alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha >= 0.5):
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite (got {alpha})")
+    if not alpha >= 0.5:
         raise DomainError(f"alpha must be >= 1/2 (got {alpha}); below it the channel is unphysical")
     beta = (alpha + 1.0) / 2.0
     gamma = alpha / 2.0

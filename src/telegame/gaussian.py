@@ -14,6 +14,7 @@ everything here is safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,10 +32,16 @@ _PHYS_TOL = -1e-9
 _SQRT2 = math.sqrt(2.0)
 
 
+@functools.lru_cache(maxsize=16)
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """The 2n x 2n form Omega = direct sum of [[0, 1], [-1, 0]] blocks."""
+    """The 2n x 2n form Omega = direct sum of [[0, 1], [-1, 0]] blocks.
+
+    Built once per size; the returned array is shared and read-only.
+    """
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(n_modes), block)
+    omega = np.kron(np.eye(n_modes), block)
+    omega.flags.writeable = False
+    return omega
 
 
 @dataclass(frozen=True)
@@ -70,20 +77,20 @@ ZERO_AMPLITUDE = ComplexAmplitude(0.0, 0.0)
 
 def quadrature_vector(values) -> np.ndarray:
     """Validate and copy a length-2n mean vector."""
-    vec = np.asarray(values, dtype=float).copy()
+    vec = np.array(values, dtype=float)
     if vec.ndim != 1 or vec.size == 0 or vec.size % 2 != 0:
         raise InvalidInputError(f"mean vector must have even positive length, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise InvalidInputError("mean vector contains non-finite entries")
     return vec
 
 
 def covariance_matrix(entries) -> np.ndarray:
     """Validate, symmetrize and copy a 2n x 2n covariance matrix."""
-    cov = np.asarray(entries, dtype=float).copy()
+    cov = np.asarray(entries, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] == 0 or cov.shape[0] % 2 != 0:
         raise InvalidInputError(f"covariance must be square with even dimension, got shape {cov.shape}")
-    if not np.all(np.isfinite(cov)):
+    if not np.isfinite(cov).all():
         raise InvalidInputError("covariance contains non-finite entries")
     asym = np.abs(cov - cov.T).max()
     if asym > _SYM_TOL:
@@ -127,11 +134,9 @@ def _check_mode(state: GaussianState, mode: int) -> int:
     return int(mode)
 
 
-def _mode_slices(modes) -> list[int]:
-    idx = []
-    for m in modes:
-        idx.extend((2 * m, 2 * m + 1))
-    return idx
+def _mode_slices(modes) -> np.ndarray:
+    """Quadrature indices (2m, 2m + 1) of each listed mode, in order."""
+    return np.array([q for m in modes for q in (2 * m, 2 * m + 1)], dtype=np.intp)
 
 
 def vacuum(n_modes: int = 1) -> GaussianState:
@@ -212,7 +217,7 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
     for m in keep:
         _check_mode(state, m)
     idx = _mode_slices(keep)
-    return GaussianState(len(keep), state.mean[idx], state.cov[np.ix_(idx, idx)])
+    return GaussianState(len(keep), state.mean[idx], state.cov[idx[:, None], idx])
 
 
 def physicality(cov) -> bool:
@@ -228,11 +233,11 @@ def _split_blocks(state: GaussianState, mode: int):
     i = _check_mode(state, mode)
     keep_modes = [m for m in range(state.modes) if m != i]
     kidx = _mode_slices(keep_modes)
-    midx = [2 * i, 2 * i + 1]
-    A = state.cov[np.ix_(kidx, kidx)]
-    B = state.cov[np.ix_(midx, midx)]
-    C = state.cov[np.ix_(kidx, midx)]
-    return keep_modes, state.mean[kidx], state.mean[midx], A, B, C
+    m = slice(2 * i, 2 * i + 2)
+    A = state.cov[kidx[:, None], kidx]
+    B = state.cov[m, m]
+    C = state.cov[kidx, m]
+    return keep_modes, state.mean[kidx], state.mean[m], A, B, C
 
 
 def homodyne_update(
@@ -300,10 +305,19 @@ def fidelity_vs_coherent(state: GaussianState, amp: ComplexAmplitude) -> float:
     """Overlap of a single-mode Gaussian state with the coherent state `amp`.
 
     F = exp(-(1/2) d^T (sigma + I/2)^{-1} d) / sqrt(det(sigma + I/2)) with
-    d the mean mismatch; lies in (0, 1].
+    d the mean mismatch; lies in (0, 1]. The 2x2 inverse and determinant are
+    written out in closed form.
     """
     if state.modes != 1:
         raise InvalidInputError(f"fidelity_vs_coherent needs a single-mode state, got {state.modes}")
-    sigma = state.cov + 0.5 * np.eye(2)
-    delta = state.mean - amp.as_mean()
-    return float(math.exp(-0.5 * delta @ np.linalg.solve(sigma, delta)) / math.sqrt(np.linalg.det(sigma)))
+    a, b, c, d = state.cov.ravel().tolist()
+    a += 0.5
+    d += 0.5
+    det = a * d - b * c
+    if not (a > 0.0 and det > 0.0):
+        raise InvalidInputError(f"cov + I/2 is not positive definite (det {det:.3e})")
+    mx, my = state.mean.tolist()
+    x = mx - _SQRT2 * amp.re
+    y = my - _SQRT2 * amp.im
+    quad = (d * x * x - (b + c) * x * y + a * y * y) / det
+    return math.exp(-0.5 * quad) / math.sqrt(det)

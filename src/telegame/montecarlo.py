@@ -48,7 +48,11 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Empirical fidelities with their standard errors."""
+    """Empirical fidelities with their standard errors.
+
+    A single shot has no sample variance, so with ``shots == 1`` every
+    ``stderr_*`` is ``math.inf``: one noisy shot is never read as exact.
+    """
 
     f_tr_hat: float
     f_ab_hat: float
@@ -231,7 +235,7 @@ def estimate_fidelities(config: McConfig, workers: int = 1) -> McEstimate:
     n = config.shots
     refs = (kernel.ref_tr, kernel.ref_ab, kernel.ref_ac)
     means = [refs[i] + totals[i] / n for i in range(3)]
-    stderr = [0.0, 0.0, 0.0]
+    stderr = [math.inf, math.inf, math.inf]
     if n > 1:
         for i in range(3):
             var = max(totals[3 + i] - totals[i] * totals[i] / n, 0.0) / (n - 1)

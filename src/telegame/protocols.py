@@ -12,6 +12,7 @@ must agree with the closed forms to machine precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -146,6 +147,7 @@ def _compose(gates) -> np.ndarray:
     return total
 
 
+@functools.lru_cache(maxsize=8)
 def noncoop_symplectic(n_modes: int = 4) -> np.ndarray:
     """Total symplectic of the non-cooperative protocol on [in, a, b, c, ...].
 
@@ -153,13 +155,16 @@ def noncoop_symplectic(n_modes: int = 4) -> np.ndarray:
     Bell quadratures onto both receivers. After the beam splitter mode `a`
     carries (x_a - x_in)/sqrt(2) and mode `in` carries (p_a + p_in)/sqrt(2);
     announcing eta = -X_minus + i P_plus and displacing by it equals these
-    sum gates at the ensemble level.
+    sum gates at the ensemble level. The matrix does not depend on alpha, so
+    it is built once per size; the returned array is shared and read-only.
     """
     gates = [beam_splitter_matrix(n_modes, _A, _IN)]
     for receiver in (_B, _C):
         gates.append(sum_gate_x(n_modes, _A, receiver, -_SQRT2))
         gates.append(sum_gate_p(n_modes, _IN, receiver, _SQRT2))
-    return _compose(gates)
+    total = _compose(gates)
+    total.flags.writeable = False
+    return total
 
 
 def coop_symplectic(params: ChannelParams, measurer: int = _C) -> np.ndarray:
@@ -272,10 +277,14 @@ def average_coherent_fidelity(
     For mu with quadrature-unit covariance Sigma around mean m, the overlap
     kernel exp(-|m_mu - u|^2 / 2) averages to
     exp(-(1/2) d^T (I+Sigma)^{-1} d) / sqrt(det(I + Sigma)), d = m - u.
+    That is the overlap of `target` with the mixture of the coherent states
+    |mu>, the Gaussian state of mean m and covariance Sigma + I/2.
     """
-    sigma = np.asarray(outcome_cov, dtype=float) + np.eye(2)
-    d = outcome_mean.as_mean() - target.as_mean()
-    return float(math.exp(-0.5 * d @ np.linalg.solve(sigma, d)) / math.sqrt(np.linalg.det(sigma)))
+    cov = np.asarray(outcome_cov, dtype=float)
+    if cov.shape != (2, 2):
+        raise InvalidInputError(f"outcome covariance must be 2x2, got shape {cov.shape}")
+    mixture = GaussianState(1, outcome_mean.as_mean(), cov + 0.5 * np.eye(2))
+    return fidelity_vs_coherent(mixture, target)
 
 
 def coop_measurer_average_fidelity(

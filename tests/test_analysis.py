@@ -43,7 +43,8 @@ class TestSweep:
         assert all(r.f_tr > r.f_coop for r in below)
         assert all(r.f_tr < r.f_coop for r in above)
 
-    @pytest.mark.parametrize("bad", [(0.4, 12.0, 10), (2.0, 1.0, 10), (0.5, 12.0, 1)])
+    @pytest.mark.parametrize("bad", [(0.4, 12.0, 10), (2.0, 1.0, 10), (0.5, 12.0, 1),
+                                     (0.5, math.inf, 3), (math.nan, 12.0, 3)])
     def test_invalid_arguments(self, bad):
         with pytest.raises(InvalidInputError):
             sweep(*bad)

@@ -33,6 +33,11 @@ class TestChannelParams:
         with pytest.raises(DomainError):
             channel_params(alpha)
 
+    @pytest.mark.parametrize("alpha", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_names_the_reason(self, alpha):
+        with pytest.raises(DomainError, match="finite"):
+            channel_params(alpha)
+
 
 class TestKappa:
     def test_known_values(self):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -62,6 +63,18 @@ class TestSweepCommand:
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "sweep", "--alpha-min", "5", "--alpha-max", "1")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [("channel", "--alpha", "inf"),
+                                  ("sweep", "--alpha-max", "inf", "--steps", "3")])
+def test_non_finite_alpha_exits_2_without_warning(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "finite" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestThresholdCommand:

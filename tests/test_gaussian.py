@@ -26,6 +26,7 @@ from telegame.gaussian import beam_splitter_matrix
 from conftest import random_amplitude, random_physical_state
 
 SQRT2 = math.sqrt(2.0)
+ZERO = ComplexAmplitude(0.0, 0.0)
 
 
 class TestComplexAmplitude:
@@ -319,6 +320,51 @@ class TestFidelityVsCoherent:
         # unity requires vacuum covariance and matched mean; anything else is below
         st = GaussianState(1, np.zeros(2), 0.6 * np.eye(2))
         assert fidelity_vs_coherent(st, ComplexAmplitude(0.0, 0.0)) < 1.0
+
+
+class TestSymplecticForm:
+    def test_shared_and_read_only(self):
+        omega = symplectic_form(3)
+        with pytest.raises(ValueError):
+            omega[0, 1] = 9.0
+        np.testing.assert_array_equal(symplectic_form(3), omega)
+        np.testing.assert_array_equal(omega, np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]]))
+
+
+class TestFidelityClosedForm:
+    @staticmethod
+    def reference(state, amp):
+        sigma = state.cov + 0.5 * np.eye(2)
+        d = state.mean - amp.as_mean()
+        return math.exp(-0.5 * d @ np.linalg.solve(sigma, d)) / math.sqrt(np.linalg.det(sigma))
+
+    def test_matches_solve_reference(self):
+        """Thermal scale up to 1e6 with squeezing r <= 1/2 and a mean mismatch
+        of order sqrt(scale). Both evaluations lose digits to the 2x2
+        determinant as the squeezing grows, so r is kept where that
+        conditioning leaves them 1e-13 apart."""
+        rng = np.random.default_rng(1312)
+        for _ in range(200):
+            nu = 10.0 ** rng.uniform(0.0, 6.0)
+            r = rng.uniform(0.0, 0.5)
+            theta = rng.uniform(0.0, math.pi)
+            c, s = math.cos(theta), math.sin(theta)
+            rot = np.array([[c, -s], [s, c]])
+            cov = 0.5 * nu * rot @ np.diag([math.exp(2 * r), math.exp(-2 * r)]) @ rot.T
+            amp = random_amplitude(rng)
+            st = GaussianState(1, amp.as_mean() + math.sqrt(nu) * rng.normal(0.0, 1.0, 2),
+                               (cov + cov.T) / 2.0)
+            assert physicality(st.cov)
+            want = self.reference(st, amp)
+            assert fidelity_vs_coherent(st, amp) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("cov", [[[-0.5, 0.0], [0.0, 1.0]], [[0.5, 1.0], [1.0, 0.5]],
+                                     [[-1.0, 0.0], [0.0, -1.0]]])
+    def test_non_positive_sigma_rejected(self, cov):
+        # cov + I/2 has det <= 0 in the first two cases and is negative
+        # definite in the third
+        with pytest.raises(InvalidInputError):
+            fidelity_vs_coherent(GaussianState(1, np.zeros(2), np.array(cov)), ZERO)
 
 
 class TestInvariants:

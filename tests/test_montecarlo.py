@@ -79,6 +79,12 @@ class TestEstimator:
         assert est.stderr_ab * math.sqrt(est.shots) < 1e-9
         assert est.stderr_ac > 1e-5  # all statistical error sits in f_ac
 
+    def test_single_shot_has_infinite_stderr(self):
+        """One shot has no sample variance: it must not read as exact."""
+        est = estimate_fidelities(McConfig(shots=1, seed=4, alpha=2.0))
+        assert (est.stderr_tr, est.stderr_ab, est.stderr_ac) == (math.inf, math.inf, math.inf)
+        assert 0.0 < est.f_ac_hat <= 1.0
+
     def test_stderr_scales_with_shots(self):
         """One doubling should shrink the standard error by about sqrt(2)."""
         small = estimate_fidelities(McConfig(shots=20_000, seed=3, alpha=2.0))

@@ -152,6 +152,12 @@ class TestFeedforwardGates:
         for S in (sum_gate_x(4, 1, 2, -1.7), sum_gate_p(4, 0, 3, 0.9)):
             assert np.abs(S @ omega @ S.T - omega).max() < 1e-12
 
+    def test_noncoop_symplectic_is_shared_and_read_only(self):
+        S = noncoop_symplectic(4)
+        with pytest.raises(ValueError):
+            S[0, 0] = 9.0
+        np.testing.assert_array_equal(noncoop_symplectic(4), S)
+
     def test_protocol_symplectics(self):
         omega4 = symplectic_form(4)
         S = noncoop_symplectic(4)
@@ -241,6 +247,13 @@ class TestMeasurerAverage:
         for _ in range(5):
             amp = random_amplitude(rng)
             assert abs(coop_measurer_average_fidelity(2.0, amp) - 0.4) < 1e-10
+
+    @pytest.mark.parametrize("cov", [-np.eye(2), -2.0 * np.eye(2), [[np.nan, 0.0], [0.0, 1.0]],
+                                     np.eye(4)])
+    def test_invalid_outcome_law_rejected(self, cov):
+        zero = ComplexAmplitude(0.0, 0.0)
+        with pytest.raises(InvalidInputError):
+            average_coherent_fidelity(zero, np.asarray(cov), zero)
 
     def test_integral_against_quadrature_oracle(self):
         """Brute-force 2D quadrature of the overlap kernel against the
