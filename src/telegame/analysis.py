@@ -49,7 +49,10 @@ def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[SweepRow]:
 
 
 def _bisect(fn, lo: float, hi: float, tol: float) -> tuple[float, int, float]:
-    """Bisection until |fn(mid)| <= tol; returns (root, iterations, residual)."""
+    """Bisection until |fn(mid)| <= tol; returns (root, iterations, residual).
+
+    BracketError if adjacent floats or the iteration cap come first.
+    """
     f_lo = fn(lo)
     f_hi = fn(hi)
     if f_lo == 0.0:
@@ -58,9 +61,11 @@ def _bisect(fn, lo: float, hi: float, tol: float) -> tuple[float, int, float]:
         return hi, 0, 0.0
     if f_lo * f_hi > 0.0:
         raise BracketError(f"no sign change on [{lo}, {hi}]")
-    mid, f_mid = lo, f_lo
+    f_mid = f_lo
     for it in range(1, _MAX_ITER + 1):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         f_mid = fn(mid)
         if abs(f_mid) <= tol:
             return mid, it, abs(f_mid)
@@ -68,7 +73,8 @@ def _bisect(fn, lo: float, hi: float, tol: float) -> tuple[float, int, float]:
             hi = mid
         else:
             lo, f_lo = mid, f_mid
-    return mid, _MAX_ITER, abs(f_mid)
+    raise BracketError(f"bisection stopped on [{lo!r}, {hi!r}] after {it} iterations "
+                       f"with |g| = {abs(f_mid):.3e} > tol {tol:.3e}")
 
 
 def _scan_bracket(fn, lo: float, hi: float, step: float) -> tuple[float, float]:

@@ -8,6 +8,7 @@ and symmetric under exchange of the two receivers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,8 @@ from .errors import DomainError, InvalidInputError
 from .gaussian import GaussianState, partial_trace
 
 _SWAP_TOL = 1e-12
+# Largest alpha served: the last one at which 2 alpha - 1 is finite.
+_ALPHA_MAX = sys.float_info.max / 2.0
 
 Z2 = np.diag([1.0, -1.0])
 
@@ -30,27 +33,38 @@ class ChannelParams:
     delta: float
 
 
+def _checked_alpha(alpha: float) -> float:
+    """alpha as a float in [1/2, _ALPHA_MAX]; DomainError naming the edge otherwise."""
+    alpha = float(alpha)
+    if 0.5 <= alpha <= _ALPHA_MAX:
+        return alpha
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite (got {alpha})")
+    if alpha < 0.5:
+        raise DomainError(f"alpha must be >= 1/2 (got {alpha}); below it the channel is unphysical")
+    raise DomainError(f"alpha must be <= {_ALPHA_MAX!r} (got {alpha}); above it 2 alpha - 1 overflows")
+
+
 def channel_params(alpha: float) -> ChannelParams:
     """Coefficients for a given noise parameter.
 
     beta = (alpha+1)/2, gamma = alpha/2, delta = sqrt((2 alpha - 1)(alpha + 1))/2.
     Below alpha = 1/2 delta would turn imaginary, so that is a hard domain edge.
+    delta is evaluated in a form that cannot overflow.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise DomainError(f"alpha must be finite (got {alpha})")
-    if not alpha >= 0.5:
-        raise DomainError(f"alpha must be >= 1/2 (got {alpha}); below it the channel is unphysical")
-    beta = (alpha + 1.0) / 2.0
-    gamma = alpha / 2.0
-    delta = 0.5 * math.sqrt((2.0 * alpha - 1.0) * (alpha + 1.0))
-    return ChannelParams(alpha, beta, gamma, delta)
+    alpha = _checked_alpha(alpha)
+    delta = 0.5 * (alpha + 1.0) * math.sqrt((2.0 * alpha - 1.0) / (alpha + 1.0))
+    return ChannelParams(alpha, (alpha + 1.0) / 2.0, alpha / 2.0, delta)
 
 
 def kappa(alpha: float) -> float:
-    """Teleportation noise scalar 1 + alpha + beta - 2 delta; >= 3/2 on the family."""
-    p = channel_params(alpha)
-    return 1.0 + p.alpha + p.beta - 2.0 * p.delta
+    """Teleportation noise scalar 1 + alpha + beta - 2 delta; >= 3/2 on the family.
+
+    Rationalised to (alpha + 13)/(6 + 4 sqrt((2 alpha - 1)/(alpha + 1))), which
+    neither cancels nor overflows.
+    """
+    alpha = _checked_alpha(alpha)
+    return (alpha + 13.0) / (6.0 + 4.0 * math.sqrt((2.0 * alpha - 1.0) / (alpha + 1.0)))
 
 
 def build_cm(params: ChannelParams) -> GaussianState:

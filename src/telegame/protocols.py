@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, Z2, build_cm, channel_params, kappa
+from .channel import ChannelParams, Z2, _checked_alpha, build_cm, channel_params, kappa
 from .errors import DomainError, InvalidInputError
 from .gaussian import (
     ComplexAmplitude,
@@ -66,10 +66,16 @@ def f_ac_coop(alpha: float) -> float:
 
 
 def f_ab_coop(alpha: float) -> float:
-    """Fidelity of the receiver helped by the communicated heterodyne result."""
-    p = channel_params(alpha)
-    corr = p.delta - p.gamma
-    return (alpha + 2.0) / ((alpha + 2.0) * kappa(alpha) - 2.0 * corr * corr)
+    """Fidelity of the receiver helped by the communicated heterodyne result.
+
+    (alpha + 2)/((alpha + 2) kappa - 2 (delta - gamma)^2), rationalised in
+    t = 1/(alpha + 1) to (1 + t)(8 - t + 4 r)/(16 + 16 t + t^2/2) with
+    r = sqrt((2 alpha - 1) t): all terms positive, nothing overflows.
+    """
+    alpha = _checked_alpha(alpha)
+    t = 1.0 / (alpha + 1.0)
+    r = math.sqrt((2.0 * alpha - 1.0) * t)
+    return (1.0 + t) * (8.0 - t + 4.0 * r) / (16.0 + 16.0 * t + 0.5 * t * t)
 
 
 def f_coop_avg(alpha: float) -> float:

@@ -106,6 +106,23 @@ class TestRootFinding:
         assert residual <= 1e-12
         assert iterations > 0
 
+    def test_bisect_raises_at_adjacent_floats(self):
+        # sqrt(2) is no float, so |x^2 - 2| stays near 4e-16 > tol
+        with pytest.raises(BracketError, match="bisection stopped"):
+            _bisect(lambda x: x * x - 2.0, 0.0, 2.0, 1e-30)
+
+    def test_bisect_raises_at_iteration_cap(self):
+        # from 1e300 down to a root near 1e-300 takes more than the cap
+        with pytest.raises(BracketError, match="200 iterations"):
+            _bisect(lambda x: x - 1e-300, -1.0, 1e300, 1e-320)
+
+    def test_production_solves_converge_on_tolerance(self):
+        result = find_threshold(1e-9)
+        assert result.iterations == 17 and result.residual <= 1e-9
+        alpha_tr, alpha_coop = find_classical_crossings()
+        assert abs(f_noncoop(alpha_tr) - 0.5) <= 1e-12
+        assert abs(f_coop_avg(alpha_coop) - 0.5) <= 1e-12
+
     def test_bisect_needs_bracket(self):
         with pytest.raises(BracketError):
             _bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-9)

@@ -34,6 +34,17 @@ class TestChannelCommand:
         assert code == 0
         assert "delta     0" in out
 
+    def test_past_upper_edge_exits_2(self, capsys):
+        code, _, err = run(capsys, "channel", "--alpha", "1.7e308")
+        assert code == 2
+        assert "overflows" in err
+
+    def test_large_alpha_is_finite(self, capsys):
+        code, out, _ = run(capsys, "channel", "--alpha", "1e300")
+        assert code == 0
+        assert "delta     7.07106781187e+299" in out
+        assert "kappa     8.57864376269e+298" in out
+
 
 class TestSweepCommand:
     def test_default_row_count(self, capsys):
@@ -158,6 +169,16 @@ class TestSolverFailureExitCode:
         code, _, err = run(capsys, "threshold")
         assert code == 4
         assert "no sign change" in err
+
+    def test_unreachable_tolerance_exits_4(self, capsys, monkeypatch):
+        # a gap whose root sqrt(2) is no float: |g| > 0 at every bisection point
+        from telegame import analysis
+
+        monkeypatch.setattr(analysis, "f_coop_avg", lambda a: 0.5 * a * a)
+        monkeypatch.setattr(analysis, "f_noncoop", lambda a: 1.0)
+        code, _, err = run(capsys, "threshold", "--tol", "1e-30")
+        assert code == 4
+        assert "bisection stopped" in err
 
 
 class TestVerifyCommand:
