@@ -17,7 +17,7 @@ from .analysis import (
     find_threshold,
     sweep,
 )
-from .channel import ChannelParams, build_cm, channel_params, exchange_symmetry_check, kappa, reduced_channel
+from .channel import ChannelParams, build_cm, channel_params, exchange_symmetry_check, kappa
 from .errors import BracketError, DomainError, InvalidInputError, TelegameError
 from .gaussian import (
     ComplexAmplitude,
@@ -49,7 +49,6 @@ from .protocols import (
     modified_shift,
     run_coop_pipeline,
     run_noncoop_pipeline,
-    two_mode_teleport_fidelity,
 )
 
 __all__ = [
@@ -90,12 +89,10 @@ __all__ = [
     "modified_shift",
     "partial_trace",
     "physicality",
-    "reduced_channel",
     "run_coop_pipeline",
     "run_noncoop_pipeline",
     "sweep",
     "symplectic_form",
     "tensor",
-    "two_mode_teleport_fidelity",
     "vacuum",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .gaussian import GaussianState, partial_trace
+from .gaussian import GaussianState
 
 _SWAP_TOL = 1e-12
 # Largest alpha served: the last one at which 2 alpha - 1 is finite.
@@ -99,13 +99,3 @@ def exchange_symmetry_check(state: GaussianState) -> bool:
     mean_ok = np.abs(perm @ state.mean - state.mean).max() <= _SWAP_TOL
     return bool(cov_ok and mean_ok)
 
-
-def reduced_channel(state: GaussianState, receiver: str) -> GaussianState:
-    """Two-mode reduction onto the sender and one receiver ('b' or 'c')."""
-    if state.modes != 3:
-        raise InvalidInputError(f"reduced_channel needs a 3-mode state, got {state.modes}")
-    if receiver == "b":
-        return partial_trace(state, [0, 1])
-    if receiver == "c":
-        return partial_trace(state, [0, 2])
-    raise InvalidInputError(f"receiver must be 'b' or 'c', got {receiver!r}")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, Z2, _checked_alpha, build_cm, channel_params, kappa
-from .errors import DomainError, InvalidInputError
+from .channel import ChannelParams, _checked_alpha, build_cm, channel_params, kappa
+from .errors import InvalidInputError
 from .gaussian import (
     ComplexAmplitude,
     GaussianState,
@@ -30,7 +30,6 @@ from .gaussian import (
     heterodyne_outcome_distribution,
     make_coherent,
     partial_trace,
-    physicality,
     tensor,
     vacuum,
 )
@@ -81,24 +80,6 @@ def f_ab_coop(alpha: float) -> float:
 def f_coop_avg(alpha: float) -> float:
     """Average fidelity when the receivers alternate roles between rounds."""
     return 0.5 * (f_ab_coop(alpha) + f_ac_coop(alpha))
-
-
-def two_mode_teleport_fidelity(A, B, C) -> float:
-    """Coherent-state teleportation fidelity through a two-mode resource.
-
-    Blocks A (sender), B (receiver) and C (cross) form the resource CM.
-    With unit gain F = det(Gamma)^{-1/2}, Gamma = I + Z A Z + B - Z C - C^T Z.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if A.shape != (2, 2) or B.shape != (2, 2) or C.shape != (2, 2):
-        raise InvalidInputError("blocks must be 2x2")
-    cm = np.block([[A, C], [C.T, B]])
-    if not physicality(cm):
-        raise DomainError("resource covariance matrix violates the uncertainty principle")
-    gamma = np.eye(2) + Z2 @ A @ Z2 + B - Z2 @ C - C.T @ Z2
-    return float(1.0 / math.sqrt(np.linalg.det(gamma)))
 
 
 def modified_shift(

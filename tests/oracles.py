@@ -1,0 +1,42 @@
+"""Test-only oracles built from the public Gaussian toolbox.
+
+They recompute channel quantities another way than the package does, so the
+tests can compare the two.
+"""
+
+import math
+
+import numpy as np
+
+from telegame import DomainError, GaussianState, InvalidInputError, partial_trace, physicality
+
+Z2 = np.diag([1.0, -1.0])
+
+
+def reduced_channel(state: GaussianState, receiver: str) -> GaussianState:
+    """Two-mode reduction onto the sender and one receiver ('b' or 'c')."""
+    if state.modes != 3:
+        raise InvalidInputError(f"reduced_channel needs a 3-mode state, got {state.modes}")
+    if receiver == "b":
+        return partial_trace(state, [0, 1])
+    if receiver == "c":
+        return partial_trace(state, [0, 2])
+    raise InvalidInputError(f"receiver must be 'b' or 'c', got {receiver!r}")
+
+
+def two_mode_teleport_fidelity(A, B, C) -> float:
+    """Coherent-state teleportation fidelity through a two-mode resource.
+
+    Blocks A (sender), B (receiver) and C (cross) form the resource CM.
+    With unit gain F = det(Gamma)^{-1/2}, Gamma = I + Z A Z + B - Z C - C^T Z.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    C = np.asarray(C, dtype=float)
+    if A.shape != (2, 2) or B.shape != (2, 2) or C.shape != (2, 2):
+        raise InvalidInputError("blocks must be 2x2")
+    cm = np.block([[A, C], [C.T, B]])
+    if not physicality(cm):
+        raise DomainError("resource covariance matrix violates the uncertainty principle")
+    gamma = np.eye(2) + Z2 @ A @ Z2 + B - Z2 @ C - C.T @ Z2
+    return float(1.0 / math.sqrt(np.linalg.det(gamma)))

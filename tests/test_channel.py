@@ -12,9 +12,10 @@ from telegame import (
     exchange_symmetry_check,
     kappa,
     physicality,
-    reduced_channel,
     symplectic_form,
 )
+
+from oracles import reduced_channel
 
 GRID = np.linspace(0.5, 50.0, 500)
 

@@ -140,6 +140,13 @@ class TestSimulateCommand:
         assert out == ""
         assert "shots" in err
 
+    def test_huge_ensemble_std_exits_2(self, capsys):
+        code, out, err = run(capsys, "simulate", "--alpha", "2", "--shots", "50",
+                             "--ensemble-std", "1e308")
+        assert code == 2
+        assert out == ""
+        assert "input_ensemble_std" in err
+
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--alpha", "2", "--frobnicate", "1"])

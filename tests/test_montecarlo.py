@@ -1,20 +1,27 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from telegame import (
+    ZERO_AMPLITUDE,
     ComplexAmplitude,
+    GaussianState,
     InvalidInputError,
     McConfig,
+    beam_splitter_50_50,
+    build_cm,
+    channel_params,
     estimate_fidelities,
     f_ab_coop,
     f_ac_coop,
     f_noncoop,
     fidelity_vs_coherent,
     make_coherent,
+    tensor,
 )
-from telegame.montecarlo import _ShotKernel, _shot_rng
+from telegame.montecarlo import _CHUNK, _ShotKernel, _shot_normals
 
 
 class TestShotKernel:
@@ -33,17 +40,38 @@ class TestShotKernel:
             assert inline == pytest.approx(via_states, abs=1e-12)
 
     def test_reference_values_equal_closed_forms(self):
-        kernel = _ShotKernel(2.0)
-        assert kernel.ref_tr == pytest.approx(f_noncoop(2.0), abs=1e-13)
-        assert kernel.ref_ab == pytest.approx(f_ab_coop(2.0), abs=1e-13)
-        assert kernel.ref_ac == pytest.approx(f_ac_coop(2.0), abs=1e-13)
+        ref_tr, ref_ab, ref_ac = _ShotKernel(2.0, 1.0).ref
+        assert ref_tr == pytest.approx(f_noncoop(2.0), abs=1e-13)
+        assert ref_ab == pytest.approx(f_ab_coop(2.0), abs=1e-13)
+        assert ref_ac == pytest.approx(f_ac_coop(2.0), abs=1e-13)
 
-    def test_shot_stream_is_counter_based(self):
-        """Shot k depends only on (seed, k), not on how many shots ran before."""
-        kernel = _ShotKernel(2.0)
-        direct = kernel.shot(_shot_rng(99, 1234), 1.0)
-        again = kernel.shot(_shot_rng(99, 1234), 1.0)
-        assert direct == again
+    @pytest.mark.parametrize("shot", [0, _CHUNK - 1, _CHUNK, 12345])
+    def test_chunk_loop_draws_fresh_shot_stream(self, shot):
+        """Shot k's six normals in its chunk's loop are the first six of a
+        fresh Philox stream at counter [0, k, 0, 0]."""
+        for z in _shot_normals(99, shot - shot % _CHUNK, shot + 1):
+            pass
+        fresh = np.random.Generator(np.random.Philox(key=99, counter=[0, shot, 0, 0]))
+        assert z.tobytes() == fresh.standard_normal(6).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
+    def test_linear_map_matches_conditioning_chain(self, alpha):
+        """Rows 4-5 of w @ z are the measurer's mismatch mu - u reached step
+        by step: Bell record from the beam-split input state, the conditioned
+        and displaced mode, then the heterodyne draw around it."""
+        std = 1.3
+        w = _ShotKernel(alpha, std).w
+        joint = tensor(make_coherent(ZERO_AMPLITUDE), build_cm(channel_params(alpha)))
+        bell = [2, 1]
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            z = rng.standard_normal(6)
+            u = math.sqrt(2.0) * std * z[0:2]
+            ports = beam_splitter_50_50(GaussianState(4, np.concatenate([u, np.zeros(6)]), joint.cov), 1, 0)
+            m = ports.mean[bell] + np.linalg.cholesky(ports.cov[np.ix_(bell, bell)]) @ z[2:4]
+            mean, cov = _ShotKernel._conditioned_measurer(joint, u, m)
+            mu = mean + np.linalg.cholesky(cov + 0.5 * np.eye(2)) @ z[4:6]
+            np.testing.assert_allclose(w[4:6] @ z, mu - u, rtol=0, atol=1e-12)
 
 
 class TestEstimator:
@@ -103,3 +131,26 @@ class TestEstimator:
             estimate_fidelities(McConfig(shots=10, seed=1, alpha=2.0, input_ensemble_std=-0.5))
         with pytest.raises(InvalidInputError):
             estimate_fidelities(McConfig(shots=10, seed=1, alpha=2.0), workers=0)
+        for bad in (True, 2.5, "2", None):
+            with pytest.raises(InvalidInputError):
+                estimate_fidelities(McConfig(shots=10, seed=1, alpha=2.0), workers=bad)
+            with pytest.raises(InvalidInputError):
+                estimate_fidelities(McConfig(shots=bad, seed=1, alpha=2.0))
+            with pytest.raises(InvalidInputError):
+                estimate_fidelities(McConfig(shots=10, seed=bad, alpha=2.0))
+
+    @pytest.mark.parametrize("std", [1e200, 1e308, sys.float_info.max, math.inf, math.nan])
+    def test_huge_input_ensemble_is_rejected(self, std):
+        with pytest.raises(InvalidInputError):
+            estimate_fidelities(McConfig(shots=50, seed=1, alpha=2.0, input_ensemble_std=std))
+
+    @pytest.mark.parametrize("alpha", [2.0, 0.5248602503498518])
+    def test_widest_input_ensemble_is_accurate(self, alpha):
+        """At the largest accepted std the estimates stay finite and within
+        3 sigma, also at an alpha whose probed unit gain is off by one
+        rounding."""
+        cfg = McConfig(shots=20_000, seed=5, alpha=alpha, input_ensemble_std=1e10)
+        est = estimate_fidelities(cfg)
+        assert abs(est.f_tr_hat - f_noncoop(alpha)) <= 1e-12
+        assert abs(est.f_ab_hat - f_ab_coop(alpha)) <= 1e-12
+        assert abs(est.f_ac_hat - f_ac_coop(alpha)) <= 3 * est.stderr_ac + 1e-12

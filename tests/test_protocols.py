@@ -17,15 +17,14 @@ from telegame import (
     f_noncoop,
     kappa,
     modified_shift,
-    reduced_channel,
     run_coop_pipeline,
     run_noncoop_pipeline,
     symplectic_form,
-    two_mode_teleport_fidelity,
 )
 from telegame.protocols import coop_symplectic, noncoop_symplectic, sum_gate_p, sum_gate_x
 
 from conftest import random_amplitude
+from oracles import reduced_channel, two_mode_teleport_fidelity
 
 GRID = np.linspace(0.5, 50.0, 500)
 ALPHA_EQUAL_COUPLINGS = (math.sqrt(5.0) - 1.0) / 2.0  # where delta = gamma
