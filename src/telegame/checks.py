@@ -14,8 +14,8 @@ import numpy as np
 from .analysis import find_classical_crossings, find_threshold, sweep
 from .channel import build_cm, channel_params, exchange_symmetry_check
 from .errors import DomainError
-from .gaussian import ComplexAmplitude, ZERO_AMPLITUDE, physicality
-from .montecarlo import McConfig, estimate_fidelities
+from .gaussian import ComplexAmplitude, ZERO_AMPLITUDE, make_coherent, physicality, tensor
+from .montecarlo import McConfig, _ShotKernel, estimate_fidelities
 from .protocols import (
     coop_measurer_average_fidelity,
     f_ab_coop,
@@ -31,6 +31,7 @@ from .protocols import (
 STAT_FLOOR = 1e-12
 
 GRID = np.linspace(0.5, 50.0, 500)
+MC_ALPHAS = (0.5, 2.0, 5.76, 10.0)
 
 
 def random_tuples(count):
@@ -143,18 +144,18 @@ def _check_measurer_average():
     return None
 
 
-def _check_outcome_independence():
-    eta1, eta2 = ComplexAmplitude(0.3, -1.1), ComplexAmplitude(-2.0, 0.7)
-    mu1, mu2 = ComplexAmplitude(1.4, 0.2), ComplexAmplitude(-0.6, -0.9)
-    amp = ComplexAmplitude(0.8, -0.5)
-    a = run_noncoop_pipeline(2.0, amp, eta1)
-    b = run_noncoop_pipeline(2.0, amp, eta2)
-    if np.abs(a.conditional_cov_bob - b.conditional_cov_bob).max() > 1e-12:
-        return "non-cooperative output covariance depends on the Bell record"
-    c = run_coop_pipeline(2.0, amp, eta1, mu1)
-    d = run_coop_pipeline(2.0, amp, eta2, mu2)
-    if np.abs(c.conditional_cov_bob - d.conditional_cov_bob).max() > 1e-12:
-        return "cooperative output covariance depends on the records"
+def _check_kernel_matches_chain():
+    rng = np.random.default_rng(20240917)
+    std = 1.3
+    for alpha in MC_ALPHAS:
+        params = channel_params(alpha)
+        joint = tensor(make_coherent(ZERO_AMPLITUDE), build_cm(params))
+        w = _ShotKernel(alpha, std).w
+        for z in rng.standard_normal((10, 6)):
+            chain_z = np.concatenate([math.sqrt(2.0) * std * z[0:2], z[2:6]])
+            gap = np.abs(w[4:6] @ z - _ShotKernel._chain(joint, params, chain_z)[0][4:6]).max()
+            if gap > 1e-12:
+                return f"measurer rows of the shot map off the chain by {gap:.3e} at alpha={alpha}"
     return None
 
 
@@ -197,7 +198,7 @@ def _check_sweep_single_crossing():
 @functools.lru_cache(maxsize=1)
 def _mc_estimates():
     results = {}
-    for alpha in (0.5, 2.0, 5.76, 10.0):
+    for alpha in MC_ALPHAS:
         cfg = McConfig(shots=100_000, seed=42, alpha=alpha)
         results[alpha] = estimate_fidelities(cfg)
     return results
@@ -236,7 +237,7 @@ CHECKS = (
     ("pipeline-noncoop-matches-closed-form", _check_pipeline_noncoop),
     ("pipeline-fab-matches-closed-form", _check_pipeline_fab),
     ("measurer-average-matches-closed-form", _check_measurer_average),
-    ("pipeline-outcome-independence", _check_outcome_independence),
+    ("mc-kernel-matches-chain", _check_kernel_matches_chain),
     ("classical-crossing-noncoop", _check_crossing_noncoop),
     ("classical-crossing-coop-larger", _check_crossing_coop_larger),
     ("sweep-single-crossing", _check_sweep_single_crossing),

@@ -3,9 +3,11 @@
 Measurement records are drawn from their exact Gaussian laws (legitimate
 because every state here has a nonnegative Wigner function), then each shot
 is scored against the input with the same overlap the analytic path uses.
-Only the measuring receiver's fidelity f_ac is sampled through the Bell and
-heterodyne conditioning; f_tr and f_ab reuse the pipelines' record-independent
-output covariances, so they are not an independent check of the pipeline.
+All three fidelities come from one conditioning chain built from the Gaussian
+primitives (Bell homodynes, displacement, heterodyne conditioning and the
+modified shift), never from the pipelines' symplectics or covariances. The
+receivers score their record-averaged state, so f_tr and f_ab are exact per
+shot; only the measurer's f_ac is sampled through the records.
 
 Determinism contract: shot k draws from a counter-based stream derived only
 from (seed, k), and partial sums are reduced over fixed-size chunks in index
@@ -15,30 +17,31 @@ order, so results are bit-identical for any degree of parallelism.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import build_cm, channel_params
+from .channel import ChannelParams, build_cm, channel_params
 from .errors import InvalidInputError
 from .gaussian import (
     ComplexAmplitude,
     GaussianState,
     ZERO_AMPLITUDE,
     beam_splitter_50_50,
-    beam_splitter_matrix,
     displace,
+    heterodyne_update,
     homodyne_update,
     make_coherent,
     tensor,
 )
-from .protocols import coop_symplectic, noncoop_symplectic, run_coop_pipeline, run_noncoop_pipeline
+from .protocols import modified_shift
 
 _SQRT2 = math.sqrt(2.0)
 _CHUNK = 4096  # reduction granularity; fixed so thread count cannot reorder sums
-# The probed unit input gain is off by one rounding (1.1e-16) at some alphas;
-# scaled by sqrt(2) std that is at most 1.6e-6 per unit normal up to here.
+# Nothing guarantees that the probed unit input gain is exactly 1; one rounding
+# (1.1e-16), scaled by sqrt(2) std, is at most 1.6e-6 per unit normal up to here.
 _MAX_ENSEMBLE_STD = 1e10
 
 
@@ -76,65 +79,60 @@ class _ShotKernel:
     heterodyne record. Row pairs (0, 1), (2, 3) and (4, 5) of ``w @ z`` are
     the whitened mean mismatches y_k of the non-cooperative receiver, the
     helped receiver and the measurer's reconstruction; fidelity k is the
-    Gaussian overlap ``pre[k] * exp(-|y_k|^2 / 2)``. Only f_ac is sampled through the
-    conditioning chain (Bell law, conditioned measurer, heterodyne law). The
-    f_tr and f_ab rows are the pipelines' symplectic residuals, zero at unit
-    gain, whitened by their output covariances: those two estimates repeat
-    the pipeline's record-independent values rather than check them.
+    Gaussian overlap ``pre[k] * exp(-|y_k|^2 / 2)``. Every row block is probed
+    from the one conditioning chain :meth:`_chain`, which is affine in z. The
+    two receivers score their record-averaged state: the record columns R of
+    their mismatch fold into its covariance, sigma = cov + I/2 + R R^T, so
+    f_tr and f_ab are exact per shot. The measurer reconstructs a coherent
+    state (cov = I/2) at its sampled heterodyne record, so f_ac is sampled.
     """
 
     def __init__(self, alpha: float, std: float):
         params = channel_params(alpha)
         joint = tensor(make_coherent(ZERO_AMPLITUDE), build_cm(params))
         I2 = np.eye(2)
-        bell_idx = [2, 1]  # x of mode 1 = X_minus, p of mode 0 = P_plus
-        bell_mean_map = beam_splitter_matrix(4, 1, 0)[bell_idx, 0:2]
-        bell_cov = beam_splitter_50_50(joint, 1, 0).cov[np.ix_(bell_idx, bell_idx)]
-
-        # Affine law of the measuring receiver's displaced mode in (u, m),
-        # probed from the honest conditioning chain (it is exactly linear).
-        base_mean, base_cov = self._conditioned_measurer(joint, np.zeros(2), np.zeros(2))
-        cond = np.column_stack(
-            [self._conditioned_measurer(joint, e[0:2], e[2:4])[0] - base_mean for e in np.eye(4)]
-        )
-        cond_u, cond_m = cond[:, 0:2], cond[:, 2:4]
-
-        record = ComplexAmplitude(0.37, -0.81)  # any record; results cannot depend on it
-        cov_tr = run_noncoop_pipeline(alpha, ZERO_AMPLITUDE, record).conditional_cov_bob
-        cov_ab = run_coop_pipeline(alpha, ZERO_AMPLITUDE, record, record).conditional_cov_bob
-        sigma_tr, sigma_ab = cov_tr + 0.5 * I2, cov_ab + 0.5 * I2
-        gain_tr = noncoop_symplectic(4)[4:6, 0:2]
-        gain_ab = coop_symplectic(params)[4:6, 0:2]
+        base, covs = self._chain(joint, params, np.zeros(6))
+        jac = np.column_stack([self._chain(joint, params, e)[0] - base for e in np.eye(6)])
 
         # The input u = sqrt(2) std z[0:2] enters each mismatch through its
-        # total gain minus I, composed before scaling so that a zero stays zero.
+        # total gain minus I, probed at unit input and scaled afterwards so
+        # that a zero stays zero. The references are the estimator means;
+        # per-shot sums accumulate deviations from them so the variance of
+        # the degenerate (record-averaged) samples is not lost to cancellation.
         scale = _SQRT2 * std
+        record = np.split(jac[:, 2:6], 3)
+        sigma = [cov + 0.5 * I2 + r @ r.T for cov, r in zip((*covs, 0.5 * I2), record)]
+        self.ref = tuple(1.0 / math.sqrt(np.linalg.det(s)) for s in sigma)
+        self.pre = (self.ref[0], self.ref[1], 1.0)
         self.w = np.zeros((6, 6))
-        self.w[0:2, 0:2] = np.linalg.solve(np.linalg.cholesky(sigma_tr), gain_tr - I2) * scale
-        self.w[2:4, 0:2] = np.linalg.solve(np.linalg.cholesky(sigma_ab), gain_ab - I2) * scale
-        self.w[4:6, 0:2] = (cond_u + cond_m @ bell_mean_map - I2) * scale
-        self.w[4:6, 2:4] = cond_m @ np.linalg.cholesky(bell_cov)
-        self.w[4:6, 4:6] = np.linalg.cholesky(base_cov + 0.5 * I2)
-
-        # Reference values close to the estimator means; per-shot sums
-        # accumulate deviations from them so the variance of the degenerate
-        # (record-independent) samples is not lost to float cancellation.
-        pre_tr = 1.0 / math.sqrt(np.linalg.det(sigma_tr))
-        pre_ab = 1.0 / math.sqrt(np.linalg.det(sigma_ab))
-        mu_marginal_cov = cond_m @ bell_cov @ cond_m.T + base_cov + 0.5 * I2
-        self.pre = (pre_tr, pre_ab, 1.0)
-        self.ref = (pre_tr, pre_ab, 1.0 / math.sqrt(np.linalg.det(I2 + mu_marginal_cov)))
+        self.w[0:2, 0:2] = np.linalg.solve(np.linalg.cholesky(sigma[0]), jac[0:2, 0:2]) * scale
+        self.w[2:4, 0:2] = np.linalg.solve(np.linalg.cholesky(sigma[1]), jac[2:4, 0:2]) * scale
+        self.w[4:6] = np.hstack([jac[4:6, 0:2] * scale, record[2]])
 
     @staticmethod
-    def _conditioned_measurer(joint: GaussianState, u: np.ndarray, m: np.ndarray):
-        """Measuring receiver's mode after Bell conditioning on record m and
-        the usual displacement by eta = (-m1, m2), for input mean u."""
-        st = GaussianState(4, np.concatenate([u, np.zeros(6)]), joint.cov)
-        st = beam_splitter_50_50(st, 1, 0)
-        st = homodyne_update(st, 1, "x", m[0])   # X_minus port
-        st = homodyne_update(st, 0, "p", m[1])   # P_plus port
-        st = displace(st, 1, ComplexAmplitude(-m[0], m[1]))
-        return st.mode_mean(1).copy(), st.mode_cov(1).copy()
+    def _chain(joint: GaussianState, params: ChannelParams, z: np.ndarray):
+        """One shot of the conditioning chain, for input mean u = z[0:2] and
+        record normals z[2:4] (Bell) and z[4:6] (heterodyne).
+
+        Returns the mean mismatches, in w's row order, of the non-cooperative
+        receiver, the helped receiver and the measurer's heterodyne record,
+        and the two receivers' conditional covariances.
+        """
+        u = z[0:2]
+        st = beam_splitter_50_50(GaussianState(4, np.concatenate([u, np.zeros(6)]), joint.cov), 1, 0)
+        bell = [2, 1]  # x of mode 1 = X_minus, p of mode 0 = P_plus
+        m = st.mean[bell] + np.linalg.cholesky(st.cov[np.ix_(bell, bell)]) @ z[2:4]
+        st = homodyne_update(st, 1, "x", m[0])
+        st = homodyne_update(st, 0, "p", m[1])  # modes left: 0 = b, 1 = c
+        eta = ComplexAmplitude(-m[0], m[1])
+        st = displace(displace(st, 0, eta), 1, eta)
+        mu = st.mode_mean(1) + np.linalg.cholesky(st.mode_cov(1) + 0.5 * np.eye(2)) @ z[4:6]
+        mu_amp = ComplexAmplitude.from_mean(mu)
+        shift = modified_shift(eta, mu_amp, params)
+        helped = heterodyne_update(st, 1, mu_amp)
+        helped = displace(helped, 0, ComplexAmplitude(shift.re - eta.re, shift.im - eta.im))
+        mismatch = np.concatenate([st.mode_mean(0) - u, helped.mean - u, mu - u])
+        return mismatch, (st.mode_cov(0), helped.cov)
 
 
 def _shot_normals(seed: int, lo: int, hi: int):
@@ -192,8 +190,8 @@ def estimate_fidelities(config: McConfig, workers: int = 1) -> McEstimate:
     _require_int("seed", config.seed, 0, 2**64)
     _require_int("workers", workers, 1)
     std = config.input_ensemble_std
-    if not 0.0 <= std <= _MAX_ENSEMBLE_STD:
-        raise InvalidInputError(f"input_ensemble_std must be in [0, {_MAX_ENSEMBLE_STD:g}], got {std}")
+    if isinstance(std, bool) or not isinstance(std, numbers.Real) or not 0.0 <= std <= _MAX_ENSEMBLE_STD:
+        raise InvalidInputError(f"input_ensemble_std must be a real in [0, {_MAX_ENSEMBLE_STD:g}], got {std!r}")
     kernel = _ShotKernel(config.alpha, std)
 
     bounds = [(lo, min(lo + _CHUNK, config.shots)) for lo in range(0, config.shots, _CHUNK)]

@@ -204,7 +204,7 @@ class TestVerifyCommand:
             "pipeline-noncoop-matches-closed-form",
             "pipeline-fab-matches-closed-form",
             "measurer-average-matches-closed-form",
-            "pipeline-outcome-independence",
+            "mc-kernel-matches-chain",
             "classical-crossing-noncoop",
             "classical-crossing-coop-larger",
             "sweep-single-crossing",

@@ -13,14 +13,19 @@ from telegame import (
     beam_splitter_50_50,
     build_cm,
     channel_params,
+    displace,
     estimate_fidelities,
     f_ab_coop,
     f_ac_coop,
     f_noncoop,
     fidelity_vs_coherent,
+    homodyne_update,
     make_coherent,
+    partial_trace,
     tensor,
 )
+from telegame import montecarlo, protocols
+from telegame.checks import compare_to_closed_forms
 from telegame.montecarlo import _CHUNK, _ShotKernel, _shot_normals
 
 
@@ -39,11 +44,12 @@ class TestShotKernel:
             )
             assert inline == pytest.approx(via_states, abs=1e-12)
 
-    def test_reference_values_equal_closed_forms(self):
-        ref_tr, ref_ab, ref_ac = _ShotKernel(2.0, 1.0).ref
-        assert ref_tr == pytest.approx(f_noncoop(2.0), abs=1e-13)
-        assert ref_ab == pytest.approx(f_ab_coop(2.0), abs=1e-13)
-        assert ref_ac == pytest.approx(f_ac_coop(2.0), abs=1e-13)
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 5.76, 10.0, 100.0, 1e3])
+    def test_reference_values_equal_closed_forms(self, alpha):
+        ref_tr, ref_ab, ref_ac = _ShotKernel(alpha, 1.0).ref
+        assert ref_tr == pytest.approx(f_noncoop(alpha), rel=0, abs=1e-12)
+        assert ref_ab == pytest.approx(f_ab_coop(alpha), rel=0, abs=1e-12)
+        assert ref_ac == pytest.approx(f_ac_coop(alpha), rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("shot", [0, _CHUNK - 1, _CHUNK, 12345])
     def test_chunk_loop_draws_fresh_shot_stream(self, shot):
@@ -57,8 +63,8 @@ class TestShotKernel:
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
     def test_linear_map_matches_conditioning_chain(self, alpha):
         """Rows 4-5 of w @ z are the measurer's mismatch mu - u reached step
-        by step: Bell record from the beam-split input state, the conditioned
-        and displaced mode, then the heterodyne draw around it."""
+        by step: Bell record from the beam-split input state, both Bell
+        homodynes, the displacement by eta, then the heterodyne draw."""
         std = 1.3
         w = _ShotKernel(alpha, std).w
         joint = tensor(make_coherent(ZERO_AMPLITUDE), build_cm(channel_params(alpha)))
@@ -67,10 +73,11 @@ class TestShotKernel:
         for _ in range(20):
             z = rng.standard_normal(6)
             u = math.sqrt(2.0) * std * z[0:2]
-            ports = beam_splitter_50_50(GaussianState(4, np.concatenate([u, np.zeros(6)]), joint.cov), 1, 0)
-            m = ports.mean[bell] + np.linalg.cholesky(ports.cov[np.ix_(bell, bell)]) @ z[2:4]
-            mean, cov = _ShotKernel._conditioned_measurer(joint, u, m)
-            mu = mean + np.linalg.cholesky(cov + 0.5 * np.eye(2)) @ z[4:6]
+            st = beam_splitter_50_50(GaussianState(4, np.concatenate([u, np.zeros(6)]), joint.cov), 1, 0)
+            m = st.mean[bell] + np.linalg.cholesky(st.cov[np.ix_(bell, bell)]) @ z[2:4]
+            st = homodyne_update(homodyne_update(st, 1, "x", m[0]), 0, "p", m[1])
+            measurer = partial_trace(displace(st, 1, ComplexAmplitude(-m[0], m[1])), [1])
+            mu = measurer.mean + np.linalg.cholesky(measurer.cov + 0.5 * np.eye(2)) @ z[4:6]
             np.testing.assert_allclose(w[4:6] @ z, mu - u, rtol=0, atol=1e-12)
 
 
@@ -107,6 +114,20 @@ class TestEstimator:
         assert est.stderr_ab * math.sqrt(est.shots) < 1e-9
         assert est.stderr_ac > 1e-5  # all statistical error sits in f_ac
 
+    def test_estimates_need_no_pipeline(self, monkeypatch):
+        """The kernel builds and passes the 3-sigma rule with every pipeline
+        run and protocol symplectic replaced by a function that raises."""
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("the Monte-Carlo path must not use the pipeline")
+
+        for name in ("run_noncoop_pipeline", "run_coop_pipeline", "noncoop_symplectic", "coop_symplectic"):
+            monkeypatch.setattr(protocols, name, unavailable)
+            monkeypatch.setattr(montecarlo, name, unavailable, raising=False)
+        for alpha in (0.5, 2.0, 10.0):
+            est = estimate_fidelities(McConfig(shots=20_000, seed=8, alpha=alpha))
+            assert all(row[-1] for row in compare_to_closed_forms(alpha, est)), alpha
+
     def test_single_shot_has_infinite_stderr(self):
         """One shot has no sample variance: it must not read as exact."""
         est = estimate_fidelities(McConfig(shots=1, seed=4, alpha=2.0))
@@ -138,6 +159,9 @@ class TestEstimator:
                 estimate_fidelities(McConfig(shots=bad, seed=1, alpha=2.0))
             with pytest.raises(InvalidInputError):
                 estimate_fidelities(McConfig(shots=10, seed=bad, alpha=2.0))
+        for bad_std in ("1", None, 1 + 0j, True):
+            with pytest.raises(InvalidInputError):
+                estimate_fidelities(McConfig(shots=10, seed=1, alpha=2.0, input_ensemble_std=bad_std))
 
     @pytest.mark.parametrize("std", [1e200, 1e308, sys.float_info.max, math.inf, math.nan])
     def test_huge_input_ensemble_is_rejected(self, std):
@@ -147,8 +171,8 @@ class TestEstimator:
     @pytest.mark.parametrize("alpha", [2.0, 0.5248602503498518])
     def test_widest_input_ensemble_is_accurate(self, alpha):
         """At the largest accepted std the estimates stay finite and within
-        3 sigma, also at an alpha whose probed unit gain is off by one
-        rounding."""
+        3 sigma, also at an alpha where a unit gain composed from its Bell
+        and direct parts is one rounding off 1."""
         cfg = McConfig(shots=20_000, seed=5, alpha=alpha, input_ensemble_std=1e10)
         est = estimate_fidelities(cfg)
         assert abs(est.f_tr_hat - f_noncoop(alpha)) <= 1e-12
