@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -30,6 +31,11 @@ def _render_csv(rows) -> str:
             ",".join(_fmt(v) for v in (r.alpha, r.f_tr, r.f_ab, r.f_ac, r.f_coop))
         )
     return "\n".join(lines) + "\n"
+
+
+def _z_score(hat: float, closed: float, err: float):
+    """(hat - closed) / err, or None where err is 0 or infinite."""
+    return None if err == 0.0 or math.isinf(err) else (hat - closed) / err
 
 
 def cmd_channel(args) -> int:
@@ -90,6 +96,7 @@ def cmd_simulate(args) -> int:
             payload[f"{name}_closed"] = closed
             payload[f"{name}_hat"] = hat
             payload[f"{name}_stderr"] = err
+            payload[f"{name}_z"] = _z_score(hat, closed, err)
         payload["consistent"] = consistent
         print(json.dumps(payload))
     else:
@@ -97,8 +104,9 @@ def cmd_simulate(args) -> int:
               f"ensemble_std {_fmt(args.ensemble_std)}")
         for name, closed, hat, err, ok in rows:
             verdict = "ok" if ok else "OFF>3SIGMA"
+            z = _z_score(hat, closed, err)
             print(f"{name}  closed={_fmt(closed)}  estimate={_fmt(hat)}  "
-                  f"stderr={err:.3e}  {verdict}")
+                  f"stderr={err:.3e}  z={'n/a' if z is None else format(z, '+.2f')}  {verdict}")
     return 0 if consistent else 5
 
 

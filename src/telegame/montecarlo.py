@@ -9,9 +9,12 @@ modified shift), never from the pipelines' symplectics or covariances. The
 receivers score their record-averaged state, so f_tr and f_ab are exact per
 shot; only the measurer's f_ac is sampled through the records.
 
-Determinism contract: shot k draws from a counter-based stream derived only
-from (seed, k), and partial sums are reduced over fixed-size chunks in index
-order, so results are bit-identical for any degree of parallelism.
+Each shot's six normals come from its own counter-based stream; a chunk of
+shots is then mapped and scored as one array operation. Determinism
+contract: shot k draws from a stream derived only from (seed, k), and partial
+sums are reduced over fixed-size chunks in index order, so results are
+bit-identical for any degree of parallelism. Only the draws run per shot, and
+their state resets hold the GIL, so more workers do not run faster yet.
 """
 
 from __future__ import annotations
@@ -135,44 +138,30 @@ class _ShotKernel:
         return mismatch, (st.mode_cov(0), helped.cov)
 
 
-def _shot_normals(seed: int, lo: int, hi: int):
-    """Yield, in one reused buffer, the six normals of each shot k in [lo, hi):
-    the first six of ``Philox(key=seed, counter=[0, k, 0, 0])``, reached by
-    resetting one generator's state instead of building a fresh one."""
+def _shot_normals(seed: int, lo: int, hi: int) -> np.ndarray:
+    """The six normals of each shot k in [lo, hi) as row k - lo: the first six
+    of ``Philox(key=seed, counter=[0, k, 0, 0])``, reached by resetting one
+    generator's counter instead of building a fresh one. A fresh generator's
+    state has an empty buffer, and assigning it back copies it unchanged."""
     bitgen = np.random.Philox(key=seed)
     rng = np.random.Generator(bitgen)
-    template = bitgen.state
-    counter = template["state"]["counter"]
-    z = np.empty(6)
-    for shot in range(lo, hi):
+    state = bitgen.state
+    counter = state["state"]["counter"]
+    z = np.empty((hi - lo, 6))
+    for shot, row in zip(range(lo, hi), z):
         counter[1] = shot
-        template["buffer_pos"] = 4
-        template["has_uint32"] = 0
-        template["uinteger"] = 0
-        bitgen.state = template
-        rng.standard_normal(out=z)
-        yield z
+        bitgen.state = state
+        rng.standard_normal(out=row)
+    return z
 
 
-def _chunk_sums(kernel: _ShotKernel, seed: int, lo: int, hi: int) -> tuple:
-    """Sums of per-shot deviations from the references (and their squares)
-    over shots [lo, hi)."""
-    w = kernel.w
-    pre_tr, pre_ab, pre_ac = kernel.pre
-    ref_tr, ref_ab, ref_ac = kernel.ref
-    s_tr = s_ab = s_ac = q_tr = q_ab = q_ac = 0.0
-    for z in _shot_normals(seed, lo, hi):
-        y0, y1, y2, y3, y4, y5 = (w @ z).tolist()
-        d = pre_tr * math.exp(-0.5 * (y0 * y0 + y1 * y1)) - ref_tr
-        s_tr += d
-        q_tr += d * d
-        d = pre_ab * math.exp(-0.5 * (y2 * y2 + y3 * y3)) - ref_ab
-        s_ab += d
-        q_ab += d * d
-        d = pre_ac * math.exp(-0.5 * (y4 * y4 + y5 * y5)) - ref_ac
-        s_ac += d
-        q_ac += d * d
-    return s_tr, s_ab, s_ac, q_tr, q_ab, q_ac
+def _chunk_sums(kernel: _ShotKernel, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Sums of per-shot deviations from the references, then of their squares,
+    over shots [lo, hi). The column sums of the C-contiguous (n, 3) deviations
+    add rows in shot order."""
+    y = _shot_normals(seed, lo, hi) @ kernel.w.T
+    d = kernel.pre * np.exp(-0.5 * (y[:, 0::2] ** 2 + y[:, 1::2] ** 2)) - kernel.ref
+    return np.concatenate([d.sum(axis=0), (d * d).sum(axis=0)])
 
 
 def _require_int(name: str, value, lo: int, hi: float = math.inf) -> None:
@@ -201,13 +190,14 @@ def estimate_fidelities(config: McConfig, workers: int = 1) -> McEstimate:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(lambda b: _chunk_sums(kernel, config.seed, *b), bounds))
 
-    totals = [0.0] * 6
+    totals = np.zeros(6)
     for part in partials:  # chunk order, never completion order
-        for i in range(6):
-            totals[i] += part[i]
+        totals += part
+    totals = totals.tolist()
 
+    # Every score lies in [0, pre[i]], so the rounded mean is kept there.
     n = config.shots
-    means = [kernel.ref[i] + totals[i] / n for i in range(3)]
+    means = [min(max(kernel.ref[i] + totals[i] / n, 0.0), kernel.pre[i]) for i in range(3)]
     stderr = [math.inf, math.inf, math.inf]
     if n > 1:
         for i in range(3):

@@ -40,3 +40,18 @@ def two_mode_teleport_fidelity(A, B, C) -> float:
         raise DomainError("resource covariance matrix violates the uncertainty principle")
     gamma = np.eye(2) + Z2 @ A @ Z2 + B - Z2 @ C - C.T @ Z2
     return float(1.0 / math.sqrt(np.linalg.det(gamma)))
+
+
+def scalar_chunk_sums(w, pre, ref, normals):
+    """The estimator's chunk sums shot by shot: each row z of `normals` is
+    mapped by ``w @ z`` and scored with ``math.exp``, and the deviations from
+    `ref` and their squares are summed in shot order."""
+    s = [0.0, 0.0, 0.0]
+    q = [0.0, 0.0, 0.0]
+    for z in normals:
+        y = (w @ z).tolist()
+        for k in range(3):
+            d = pre[k] * math.exp(-0.5 * (y[2 * k] * y[2 * k] + y[2 * k + 1] * y[2 * k + 1])) - ref[k]
+            s[k] += d
+            q[k] += d * d
+    return s + q

@@ -115,6 +115,7 @@ class TestSimulateCommand:
         code, first, _ = run(capsys, *args)
         assert code == 0
         assert "f_tr" in first and "ok" in first
+        assert "z=n/a" in first and ("z=+" in first or "z=-" in first)
         code, second, _ = run(capsys, *args)
         assert code == 0
         assert first == second
@@ -127,6 +128,11 @@ class TestSimulateCommand:
         assert payload["consistent"] is True
         assert payload["f_tr_closed"] == pytest.approx(2.0 / 3.0)
         assert {"f_ab_hat", "f_ac_hat", "f_tr_stderr", "shots"} <= set(payload)
+        # f_tr and f_ab are exact per shot (stderr 0), so they have no z-score
+        assert payload["f_tr_z"] is None and payload["f_ab_z"] is None
+        z_ac = (payload["f_ac_hat"] - payload["f_ac_closed"]) / payload["f_ac_stderr"]
+        assert payload["f_ac_z"] == z_ac
+        assert abs(z_ac) <= 3.0
 
     def test_zero_shots_exits_2(self, capsys):
         code, _, err = run(capsys, "simulate", "--alpha", "2", "--shots", "0")

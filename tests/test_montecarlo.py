@@ -26,7 +26,9 @@ from telegame import (
 )
 from telegame import montecarlo, protocols
 from telegame.checks import compare_to_closed_forms
-from telegame.montecarlo import _CHUNK, _ShotKernel, _shot_normals
+from telegame.montecarlo import _CHUNK, _ShotKernel, _chunk_sums, _shot_normals
+
+from oracles import scalar_chunk_sums
 
 
 class TestShotKernel:
@@ -53,12 +55,22 @@ class TestShotKernel:
 
     @pytest.mark.parametrize("shot", [0, _CHUNK - 1, _CHUNK, 12345])
     def test_chunk_loop_draws_fresh_shot_stream(self, shot):
-        """Shot k's six normals in its chunk's loop are the first six of a
-        fresh Philox stream at counter [0, k, 0, 0]."""
-        for z in _shot_normals(99, shot - shot % _CHUNK, shot + 1):
-            pass
+        """Shot k's row of its chunk's normals is the first six of a fresh
+        Philox stream at counter [0, k, 0, 0]."""
+        lo = shot - shot % _CHUNK
+        z = _shot_normals(99, lo, lo + _CHUNK)[shot - lo]
         fresh = np.random.Generator(np.random.Philox(key=99, counter=[0, shot, 0, 0]))
         assert z.tobytes() == fresh.standard_normal(6).tobytes()
+
+    @pytest.mark.parametrize("std", [1.0, 1.3])
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("lo, hi", [(0, _CHUNK), (3 * _CHUNK, 3 * _CHUNK + 1234)])
+    def test_chunk_scoring_matches_scalar_loop(self, alpha, std, lo, hi):
+        """The array-scored chunk sums equal a shot-by-shot scalar loop over
+        the same normals, on a full and on a partial chunk."""
+        kernel = _ShotKernel(alpha, std)
+        expected = scalar_chunk_sums(kernel.w, kernel.pre, kernel.ref, _shot_normals(5, lo, hi))
+        np.testing.assert_allclose(_chunk_sums(kernel, 5, lo, hi), expected, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
     def test_linear_map_matches_conditioning_chain(self, alpha):
@@ -133,6 +145,18 @@ class TestEstimator:
         est = estimate_fidelities(McConfig(shots=1, seed=4, alpha=2.0))
         assert (est.stderr_tr, est.stderr_ab, est.stderr_ac) == (math.inf, math.inf, math.inf)
         assert 0.0 < est.f_ac_hat <= 1.0
+
+    def test_estimates_stay_in_score_range(self):
+        """At alpha = 8e6 every measurer shot scores 0. The mean must not
+        round below zero, and it still misses the closed form under the
+        3-sigma rule."""
+        alpha = 8e6
+        est = estimate_fidelities(McConfig(shots=2000, seed=0, alpha=alpha))
+        assert est.f_ac_hat == 0.0
+        assert 0.0 < est.f_tr_hat <= 1.0 and 0.0 < est.f_ab_hat <= 1.0
+        f_ac = compare_to_closed_forms(alpha, est)[2]
+        assert f_ac[1] == pytest.approx(1.46e-6, rel=1e-2)
+        assert not f_ac[-1]
 
     def test_stderr_scales_with_shots(self):
         """One doubling should shrink the standard error by about sqrt(2)."""
