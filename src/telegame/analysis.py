@@ -11,7 +11,9 @@ from .errors import BracketError, InvalidInputError
 from .protocols import f_ab_coop, f_ac_coop, f_coop_avg, f_noncoop
 
 _MAX_ITER = 200
-_SCAN_STEP = 0.01
+# A root is returned only from a bracket at most this wide, so a loose tol
+# cannot stop the bisection early on a far-off point where the gap is small.
+_MAX_BRACKET = 0.01
 
 
 @dataclass(frozen=True)
@@ -29,6 +31,7 @@ class ThresholdResult:
     f_at_threshold: float
     iterations: int
     residual: float
+    bracket_width: float
 
 
 def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[SweepRow]:
@@ -48,17 +51,20 @@ def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[SweepRow]:
     return rows
 
 
-def _bisect(fn, lo: float, hi: float, tol: float) -> tuple[float, int, float]:
-    """Bisection until |fn(mid)| <= tol; returns (root, iterations, residual).
+def _bisect(fn, lo: float, hi: float, tol: float) -> tuple[float, int, float, float]:
+    """Bisection on a sign change of fn; returns (root, iterations, residual, width).
 
-    BracketError if adjacent floats or the iteration cap come first.
+    Stops at the first midpoint with |fn(mid)| <= tol whose bracket is at
+    most _MAX_BRACKET wide; root lies within width / 2 of a zero of fn.
+    fn is evaluated iterations + 2 times. BracketError if adjacent floats or
+    the iteration cap come first.
     """
     f_lo = fn(lo)
     f_hi = fn(hi)
     if f_lo == 0.0:
-        return lo, 0, 0.0
+        return lo, 0, 0.0, 0.0
     if f_hi == 0.0:
-        return hi, 0, 0.0
+        return hi, 0, 0.0, 0.0
     if f_lo * f_hi > 0.0:
         raise BracketError(f"no sign change on [{lo}, {hi}]")
     f_mid = f_lo
@@ -67,8 +73,8 @@ def _bisect(fn, lo: float, hi: float, tol: float) -> tuple[float, int, float]:
         if not lo < mid < hi:
             break
         f_mid = fn(mid)
-        if abs(f_mid) <= tol:
-            return mid, it, abs(f_mid)
+        if abs(f_mid) <= tol and hi - lo <= _MAX_BRACKET:
+            return mid, it, abs(f_mid), hi - lo
         if f_lo * f_mid < 0.0:
             hi = mid
         else:
@@ -77,46 +83,30 @@ def _bisect(fn, lo: float, hi: float, tol: float) -> tuple[float, int, float]:
                        f"with |g| = {abs(f_mid):.3e} > tol {tol:.3e}")
 
 
-def _scan_bracket(fn, lo: float, hi: float, step: float) -> tuple[float, float]:
-    """First subinterval of [lo, hi] on which fn changes sign."""
-    x = lo
-    f_prev = fn(x)
-    while x < hi:
-        x_next = min(x + step, hi)
-        f_next = fn(x_next)
-        if f_prev == 0.0:
-            return x, x
-        if f_prev * f_next <= 0.0:
-            return x, x_next
-        x, f_prev = x_next, f_next
-    raise BracketError(f"no sign change located on [{lo}, {hi}] at step {step}")
-
-
 def find_threshold(tol: float) -> ThresholdResult:
     """Noise level where the cooperative average overtakes the standard protocol.
 
-    Bisection on g(alpha) = f_coop_avg - f_noncoop over [1, 50], after a
-    coarse scan isolates the single crossing (g < 0 trivially near the
-    no-cloning optimum, so the search starts above alpha = 1).
+    Bisection on g(alpha) = f_coop_avg - f_noncoop over [1, 50], which holds
+    its single sign change (g < 0 near the no-cloning optimum, so the search
+    starts at alpha = 1). alpha_th lies within bracket_width / 2 of the root,
+    and g is evaluated iterations + 2 times.
     """
     if not tol > 0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
     gap = lambda a: f_coop_avg(a) - f_noncoop(a)
-    lo, hi = _scan_bracket(gap, 1.0, 50.0, _SCAN_STEP)
-    root, iterations, residual = _bisect(gap, lo, hi, tol)
-    return ThresholdResult(root, f_noncoop(root), iterations, residual)
+    root, iterations, residual, width = _bisect(gap, 1.0, 50.0, tol)
+    return ThresholdResult(root, f_noncoop(root), iterations, residual, width)
 
 
 def find_classical_crossings(tol: float = 1e-12) -> tuple[float, float]:
     """Where each strategy drops to the classical benchmark 1/2.
 
-    Returns (larger root of f_noncoop = 1/2, root of f_coop_avg = 1/2), both
-    searched on (2, 200] where the fidelities decay monotonically.
+    Returns (larger root of f_noncoop = 1/2, root of f_coop_avg = 1/2). Each
+    gap to 1/2 changes sign exactly once on [2, 200], which is bisected whole;
+    f_coop_avg is not monotone there (it peaks near alpha = 5.08).
     """
     tr_gap = lambda a: f_noncoop(a) - 0.5
     coop_gap = lambda a: f_coop_avg(a) - 0.5
-    lo, hi = _scan_bracket(tr_gap, 2.0 + _SCAN_STEP, 200.0, 0.1)
-    alpha_tr, _, _ = _bisect(tr_gap, lo, hi, tol)
-    lo, hi = _scan_bracket(coop_gap, 2.0 + _SCAN_STEP, 200.0, 0.1)
-    alpha_coop, _, _ = _bisect(coop_gap, lo, hi, tol)
+    alpha_tr = _bisect(tr_gap, 2.0, 200.0, tol)[0]
+    alpha_coop = _bisect(coop_gap, 2.0, 200.0, tol)[0]
     return alpha_tr, alpha_coop

@@ -70,12 +70,14 @@ def cmd_threshold(args) -> int:
             "f_at_threshold": result.f_at_threshold,
             "iterations": result.iterations,
             "residual": result.residual,
+            "bracket_width": result.bracket_width,
         }))
     else:
         print(f"alpha_th        {_fmt(result.alpha_th)}")
         print(f"f_at_threshold  {_fmt(result.f_at_threshold)}")
         print(f"iterations      {result.iterations}")
         print(f"residual        {result.residual:.3e}")
+        print(f"bracket_width   {result.bracket_width:.3e}")
     return 0
 
 

@@ -24,10 +24,12 @@ from .errors import InvalidInputError
 
 # Tolerances fixed by contract: covariance constructors reject asymmetry
 # above _SYM_TOL (after symmetrizing), the uncertainty check accepts
-# eigenvalues down to _PHYS_TOL so boundary (pure) states pass under
-# floating-point noise.
+# eigenvalues down to -max(_PHYS_TOL, _PHYS_REL * dim * max|cov|), above
+# their rounding error of a few eps * max|cov|, so boundary (pure) states
+# pass at every scale.
 _SYM_TOL = 1e-9
-_PHYS_TOL = -1e-9
+_PHYS_TOL = 1e-9
+_PHYS_REL = 8.0 * np.finfo(float).eps
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -223,9 +225,10 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
 def physicality(cov) -> bool:
     """Uncertainty-principle test: cov - (i/2) Omega must be positive semidefinite."""
     cov = covariance_matrix(cov)
-    n = cov.shape[0] // 2
-    herm = cov - 0.5j * symplectic_form(n)
-    return float(np.linalg.eigvalsh(herm).min()) >= _PHYS_TOL
+    dim = cov.shape[0]
+    herm = cov - 0.5j * symplectic_form(dim // 2)
+    slack = max(_PHYS_TOL, _PHYS_REL * dim * float(np.abs(cov).max()))
+    return float(np.linalg.eigvalsh(herm).min()) >= -slack
 
 
 def _split_blocks(state: GaussianState, mode: int):

@@ -12,7 +12,11 @@ from telegame import (
     find_threshold,
     sweep,
 )
-from telegame.analysis import _bisect, _scan_bracket
+from telegame.analysis import _bisect
+
+TH_GAP = lambda a: f_coop_avg(a) - f_noncoop(a)
+TR_GAP = lambda a: f_noncoop(a) - 0.5
+COOP_GAP = lambda a: f_coop_avg(a) - 0.5
 
 
 class TestSweep:
@@ -69,18 +73,31 @@ class TestThreshold:
         with pytest.raises(InvalidInputError):
             find_threshold(0.0)
 
-    def test_single_sign_change_on_search_interval(self):
-        gap = lambda a: f_coop_avg(a) - f_noncoop(a)
+    @pytest.mark.parametrize("gap, lo, hi", [(TH_GAP, 1.0, 50.0), (TR_GAP, 2.0, 200.0),
+                                             (COOP_GAP, 2.0, 200.0)],
+                             ids=["threshold", "noncoop-classical", "coop-classical"])
+    def test_single_sign_change_on_search_interval(self, gap, lo, hi):
+        """Each solve bisects its whole interval, so it must hold exactly one root."""
         signs = 0
-        prev = gap(1.0)
-        a = 1.0
-        while a < 50.0:
-            a += 0.01
+        prev = gap(lo)
+        a = lo
+        while a < hi:
+            a = min(a + 0.01, hi)
             cur = gap(a)
             if prev * cur < 0:
                 signs += 1
             prev = cur
         assert signs == 1
+
+    @pytest.mark.parametrize("tol", [1e-1, 1e-2, 1e-3, 1e-4])
+    def test_loose_tolerance_still_places_roots(self, tol):
+        """A loose tol cannot stop the bisection before the bracket is 0.01 wide."""
+        tight = find_threshold(1e-15)
+        loose = find_threshold(tol)
+        assert abs(loose.alpha_th - tight.alpha_th) <= 0.005
+        assert abs(loose.alpha_th - tight.alpha_th) <= (loose.bracket_width + tight.bracket_width) / 2
+        for got, want in zip(find_classical_crossings(tol), find_classical_crossings(1e-15)):
+            assert abs(got - want) <= 0.005
 
 
 class TestClassicalCrossings:
@@ -101,10 +118,11 @@ class TestClassicalCrossings:
 
 class TestRootFinding:
     def test_bisect_contract(self):
-        root, iterations, residual = _bisect(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12)
+        root, iterations, residual, width = _bisect(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
         assert residual <= 1e-12
         assert iterations > 0
+        assert abs(root - math.sqrt(2.0)) <= width / 2 <= 0.005
 
     def test_bisect_raises_at_adjacent_floats(self):
         # sqrt(2) is no float, so |x^2 - 2| stays near 4e-16 > tol
@@ -118,7 +136,8 @@ class TestRootFinding:
 
     def test_production_solves_converge_on_tolerance(self):
         result = find_threshold(1e-9)
-        assert result.iterations == 17 and result.residual <= 1e-9
+        assert result.iterations == 28 and result.residual <= 1e-9
+        assert result.bracket_width <= 0.01
         alpha_tr, alpha_coop = find_classical_crossings()
         assert abs(f_noncoop(alpha_tr) - 0.5) <= 1e-12
         assert abs(f_coop_avg(alpha_coop) - 0.5) <= 1e-12
@@ -126,11 +145,3 @@ class TestRootFinding:
     def test_bisect_needs_bracket(self):
         with pytest.raises(BracketError):
             _bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-9)
-
-    def test_scan_finds_first_bracket(self):
-        lo, hi = _scan_bracket(lambda x: x - 0.55, 0.0, 2.0, 0.1)
-        assert lo <= 0.55 <= hi
-
-    def test_scan_failure(self):
-        with pytest.raises(BracketError):
-            _scan_bracket(lambda x: 1.0, 0.0, 1.0, 0.1)

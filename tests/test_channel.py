@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from telegame import (
 from oracles import reduced_channel
 
 GRID = np.linspace(0.5, 50.0, 500)
+LOG_GRID = np.geomspace(0.5, sys.float_info.max / 2, 3000)
 
 
 class TestChannelParams:
@@ -77,6 +80,17 @@ class TestBuildCm:
     def test_physical_on_grid(self):
         for alpha in GRID:
             assert physicality(build_cm(channel_params(alpha)).cov)
+
+    def test_physical_over_whole_domain(self):
+        # the uncertainty test's slack scales with max|cov|, so large alphas pass
+        for alpha in LOG_GRID:
+            assert physicality(build_cm(channel_params(float(alpha))).cov), alpha
+
+    def test_inflated_delta_rejected_at_every_scale(self):
+        for alpha in LOG_GRID[LOG_GRID >= 1.0]:
+            p = channel_params(float(alpha))
+            bad = dataclasses.replace(p, delta=p.delta * (1.0 + 1e-6))
+            assert not physicality(build_cm(bad).cov), alpha
 
     def test_eigen_oracle_at_two(self):
         # independent check of the uncertainty test at one point

@@ -100,8 +100,10 @@ class TestThresholdCommand:
         code, out, _ = run(capsys, "threshold", "--json")
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) == {"alpha_th", "f_at_threshold", "iterations", "residual"}
+        assert set(payload) == {"alpha_th", "f_at_threshold", "iterations", "residual",
+                                "bracket_width"}
         assert payload["residual"] <= 1e-9
+        assert 0.0 < payload["bracket_width"] <= 0.01
 
     def test_loose_tolerance_uses_fewer_iterations(self, capsys):
         _, loose, _ = run(capsys, "threshold", "--tol", "1e-3", "--json")
