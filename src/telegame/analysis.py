@@ -56,9 +56,11 @@ def _bisect(fn, lo: float, hi: float, tol: float) -> tuple[float, int, float, fl
 
     Stops at the first midpoint with |fn(mid)| <= tol whose bracket is at
     most _MAX_BRACKET wide; root lies within width / 2 of a zero of fn.
-    fn is evaluated iterations + 2 times. BracketError if adjacent floats or
-    the iteration cap come first.
+    fn is evaluated iterations + 2 times. InvalidInputError unless tol > 0;
+    BracketError if adjacent floats or the iteration cap come first.
     """
+    if not tol > 0:
+        raise InvalidInputError(f"tol must be positive, got {tol}")
     f_lo = fn(lo)
     f_hi = fn(hi)
     if f_lo == 0.0:
@@ -91,8 +93,6 @@ def find_threshold(tol: float) -> ThresholdResult:
     starts at alpha = 1). alpha_th lies within bracket_width / 2 of the root,
     and g is evaluated iterations + 2 times.
     """
-    if not tol > 0:
-        raise InvalidInputError(f"tol must be positive, got {tol}")
     gap = lambda a: f_coop_avg(a) - f_noncoop(a)
     root, iterations, residual, width = _bisect(gap, 1.0, 50.0, tol)
     return ThresholdResult(root, f_noncoop(root), iterations, residual, width)

@@ -248,8 +248,9 @@ def homodyne_update(
 ) -> GaussianState:
     """Conditional state after a homodyne detection of one quadrature.
 
-    The measured mode is removed. Uses the Moore-Penrose pseudo-inverse of the
-    rank-1 projected block, the infinitely-squeezed-measurement limit.
+    The measured mode is removed. In the infinitely-squeezed limit only the
+    measured quadrature's variance B[q, q] enters, as a scalar Schur
+    complement; it must be positive.
     """
     if state.modes < 2:
         raise InvalidInputError("homodyne conditioning needs at least two modes")
@@ -259,13 +260,11 @@ def homodyne_update(
         raise InvalidInputError("homodyne outcome must be finite")
     keep_modes, mean_k, mean_m, A, B, C = _split_blocks(state, mode)
     q = 0 if quadrature == "x" else 1
-    proj = np.zeros((2, 2))
-    proj[q, q] = 1.0
-    pinv = np.linalg.pinv(proj @ B @ proj)
-    target = np.zeros(2)
-    target[q] = outcome
-    cov = A - C @ pinv @ C.T
-    mean = mean_k + C @ pinv @ proj @ (target - mean_m)
+    if not B[q, q] > 0.0:
+        raise InvalidInputError(f"measured {quadrature} variance {B[q, q]:.3e} is not positive")
+    g = C[:, q] / B[q, q]
+    cov = A - np.outer(g, C[:, q])
+    mean = mean_k + g * (outcome - mean_m[q])
     return GaussianState(len(keep_modes), mean, cov)
 
 

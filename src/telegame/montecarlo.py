@@ -184,11 +184,8 @@ def estimate_fidelities(config: McConfig, workers: int = 1) -> McEstimate:
     kernel = _ShotKernel(config.alpha, std)
 
     bounds = [(lo, min(lo + _CHUNK, config.shots)) for lo in range(0, config.shots, _CHUNK)]
-    if workers == 1:
-        partials = [_chunk_sums(kernel, config.seed, lo, hi) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda b: _chunk_sums(kernel, config.seed, *b), bounds))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        partials = list(pool.map(lambda b: _chunk_sums(kernel, config.seed, *b), bounds))
 
     totals = np.zeros(6)
     for part in partials:  # chunk order, never completion order

@@ -47,7 +47,6 @@ class StrategyOutcome:
 
     fidelity_bob: float
     fidelity_charlie: float
-    conditional_cov_bob: np.ndarray
     mean_residual_bob: np.ndarray
 
 
@@ -154,28 +153,25 @@ def noncoop_symplectic(n_modes: int = 4) -> np.ndarray:
     return total
 
 
-def coop_symplectic(params: ChannelParams, measurer: int = _C) -> np.ndarray:
+def coop_symplectic(params: ChannelParams) -> np.ndarray:
     """Total symplectic of the cooperative protocol on [in, a, b, c, anc].
 
-    Continues the non-cooperative circuit: the measuring receiver's mode is
-    split with a vacuum ancilla (the heterodyne), and the outcome pair is fed
-    forward to the other receiver with the modified-shift coefficient. The
-    -eta part of the correction is an equal feedforward from the Bell ports
-    with opposite sign.
+    Continues the non-cooperative circuit: Charlie's mode is split with a
+    vacuum ancilla (the heterodyne), and the outcome pair is fed forward to
+    Bob with the modified-shift coefficient. The -eta part of the correction
+    is an equal feedforward from the Bell ports with opposite sign.
     """
-    if measurer not in (_B, _C):
-        raise InvalidInputError("measuring receiver must be mode 2 or 3")
-    helped = _B if measurer == _C else _C
-    gain = _correction_gain(params)
-    gates = [noncoop_symplectic(5)]
-    gates.append(beam_splitter_matrix(5, measurer, _ANC))
-    # heterodyne result (quadrature units) is sqrt(2) * (x of measurer port,
-    # p of ancilla port); the helped receiver displaces by gain * (mu - eta)
-    gates.append(sum_gate_x(5, measurer, helped, gain * _SQRT2))
-    gates.append(sum_gate_p(5, _ANC, helped, gain * _SQRT2))
-    gates.append(sum_gate_x(5, _A, helped, gain * _SQRT2))
-    gates.append(sum_gate_p(5, _IN, helped, -gain * _SQRT2))
-    return _compose(gates)
+    gain = _correction_gain(params) * _SQRT2
+    # heterodyne result (quadrature units) is sqrt(2) * (x of Charlie's port,
+    # p of ancilla port); Bob displaces by the coefficient times (mu - eta)
+    return _compose([
+        noncoop_symplectic(5),
+        beam_splitter_matrix(5, _C, _ANC),
+        sum_gate_x(5, _C, _B, gain),
+        sum_gate_p(5, _ANC, _B, gain),
+        sum_gate_x(5, _A, _B, gain),
+        sum_gate_p(5, _IN, _B, -gain),
+    ])
 
 
 def _joint_state(alpha: float, input_amp: ComplexAmplitude, with_ancilla: bool) -> GaussianState:
@@ -200,12 +196,10 @@ def run_noncoop_pipeline(
     st = apply_symplectic(_joint_state(alpha, input_amp, False), noncoop_symplectic(4))
     bob = partial_trace(st, [_B])
     charlie = partial_trace(st, [_C])
-    residual = bob.mean - input_amp.as_mean()
     return StrategyOutcome(
         fidelity_bob=fidelity_vs_coherent(bob, input_amp),
         fidelity_charlie=fidelity_vs_coherent(charlie, input_amp),
-        conditional_cov_bob=bob.cov,
-        mean_residual_bob=residual,
+        mean_residual_bob=bob.mean - input_amp.as_mean(),
     )
 
 
@@ -214,46 +208,23 @@ def run_coop_pipeline(
     input_amp: ComplexAmplitude,
     bell_outcome: ComplexAmplitude,
     het_outcome: ComplexAmplitude,
-    measuring_receiver: str = "c",
 ) -> StrategyOutcome:
-    """Run the cooperative strategy: one receiver measures, the other is helped.
+    """Run the cooperative strategy: Charlie heterodynes and announces, Bob
+    applies the modified shift.
 
-    The helped receiver's output is exact for every (bell, heterodyne) record;
-    the measuring receiver reconstructs the coherent state at `het_outcome`,
-    so only their single-trajectory fidelity depends on the record. Averaged
-    over the heterodyne law it equals :func:`f_ac_coop` (see
-    :func:`coop_measurer_average_fidelity`). The `*_bob` diagnostic fields
-    always describe the helped receiver's deterministic output state.
+    Bob's output is exact for every (bell, heterodyne) record. Charlie
+    reconstructs the coherent state at `het_outcome`, so only Charlie's
+    single-trajectory fidelity depends on the record; averaged over the
+    heterodyne law it equals :func:`f_ac_coop` (see
+    :func:`coop_measurer_average_fidelity`).
     """
-    if measuring_receiver not in ("b", "c"):
-        raise InvalidInputError(f"measuring_receiver must be 'b' or 'c', got {measuring_receiver!r}")
-    params = channel_params(alpha)
-    measurer = _C if measuring_receiver == "c" else _B
-    helped = _B if measurer == _C else _C
-    st = apply_symplectic(_joint_state(alpha, input_amp, True), coop_symplectic(params, measurer))
-    helped_state = partial_trace(st, [helped])
-    helped_fid = fidelity_vs_coherent(helped_state, input_amp)
-    measurer_fid = fidelity_vs_coherent(make_coherent(het_outcome), input_amp)
-    residual = helped_state.mean - input_amp.as_mean()
+    st = apply_symplectic(_joint_state(alpha, input_amp, True), coop_symplectic(channel_params(alpha)))
+    bob = partial_trace(st, [_B])
     return StrategyOutcome(
-        fidelity_bob=helped_fid if measurer == _C else measurer_fid,
-        fidelity_charlie=measurer_fid if measurer == _C else helped_fid,
-        conditional_cov_bob=helped_state.cov,
-        mean_residual_bob=residual,
+        fidelity_bob=fidelity_vs_coherent(bob, input_amp),
+        fidelity_charlie=fidelity_vs_coherent(make_coherent(het_outcome), input_amp),
+        mean_residual_bob=bob.mean - input_amp.as_mean(),
     )
-
-
-def coop_measurer_outcome_law(
-    alpha: float, input_amp: ComplexAmplitude = ZERO_AMPLITUDE
-) -> tuple[ComplexAmplitude, np.ndarray]:
-    """Heterodyne-outcome law of the measuring receiver's displaced mode.
-
-    Built from the non-cooperative pipeline output (his mode right before the
-    measurement), so the mean sits at the input amplitude and the covariance
-    is kappa * I in quadrature units.
-    """
-    st = apply_symplectic(_joint_state(alpha, input_amp, False), noncoop_symplectic(4))
-    return heterodyne_outcome_distribution(partial_trace(st, [_C]), 0)
 
 
 def average_coherent_fidelity(
@@ -277,10 +248,14 @@ def average_coherent_fidelity(
 def coop_measurer_average_fidelity(
     alpha: float, input_amp: ComplexAmplitude = ZERO_AMPLITUDE
 ) -> float:
-    """Exact outcome-averaged fidelity of the measuring receiver.
+    """Exact outcome-averaged fidelity of Charlie, the measuring receiver.
 
-    Closed-form Gaussian integral over the heterodyne law; equals
-    1/(kappa+1), i.e. :func:`f_ac_coop`, for every input amplitude.
+    Charlie's heterodyne-outcome law is read from the non-cooperative
+    pipeline output (the mode right before the measurement): its mean sits at
+    the input amplitude and its covariance is kappa * I in quadrature units.
+    The closed-form Gaussian integral over that law equals 1/(kappa+1), i.e.
+    :func:`f_ac_coop`, for every input amplitude.
     """
-    mean, cov = coop_measurer_outcome_law(alpha, input_amp)
+    st = apply_symplectic(_joint_state(alpha, input_amp, False), noncoop_symplectic(4))
+    mean, cov = heterodyne_outcome_distribution(partial_trace(st, [_C]), 0)
     return average_coherent_fidelity(mean, cov, input_amp)

@@ -24,6 +24,26 @@ def reduced_channel(state: GaussianState, receiver: str) -> GaussianState:
     raise InvalidInputError(f"receiver must be 'b' or 'c', got {receiver!r}")
 
 
+def pinv_homodyne_update(state: GaussianState, mode: int, quadrature: str, outcome: float):
+    """Homodyne conditioning through the Moore-Penrose pseudo-inverse of the
+    measured 2x2 block projected onto the measured quadrature: the
+    infinitely-squeezed limit written as a matrix formula. Returns the
+    conditional (mean, cov) of the remaining modes."""
+    keep = [q for m in range(state.modes) if m != mode for q in (2 * m, 2 * m + 1)]
+    meas = [2 * mode, 2 * mode + 1]
+    A = state.cov[np.ix_(keep, keep)]
+    B = state.cov[np.ix_(meas, meas)]
+    C = state.cov[np.ix_(keep, meas)]
+    proj = np.zeros((2, 2))
+    q = 0 if quadrature == "x" else 1
+    proj[q, q] = 1.0
+    pinv = np.linalg.pinv(proj @ B @ proj)
+    target = np.zeros(2)
+    target[q] = outcome
+    mean = state.mean[keep] + C @ pinv @ proj @ (target - state.mean[meas])
+    return mean, A - C @ pinv @ C.T
+
+
 def two_mode_teleport_fidelity(A, B, C) -> float:
     """Coherent-state teleportation fidelity through a two-mode resource.
 

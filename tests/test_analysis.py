@@ -70,8 +70,12 @@ class TestThreshold:
         assert find_threshold(1e-3).iterations < find_threshold(1e-9).iterations
 
     def test_tol_must_be_positive(self):
-        with pytest.raises(InvalidInputError):
-            find_threshold(0.0)
+        """Both solvers reject a tol that is not positive, NaN included, as
+        invalid input rather than as a bracketing failure."""
+        for solver in (find_threshold, find_classical_crossings):
+            for tol in (0.0, -1.0, math.nan):
+                with pytest.raises(InvalidInputError):
+                    solver(tol)
 
     @pytest.mark.parametrize("gap, lo, hi", [(TH_GAP, 1.0, 50.0), (TR_GAP, 2.0, 200.0),
                                              (COOP_GAP, 2.0, 200.0)],

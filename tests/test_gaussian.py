@@ -24,6 +24,7 @@ from telegame import (
 from telegame.gaussian import beam_splitter_matrix
 
 from conftest import random_amplitude, random_physical_state
+from oracles import pinv_homodyne_update
 
 SQRT2 = math.sqrt(2.0)
 ZERO = ComplexAmplitude(0.0, 0.0)
@@ -238,6 +239,34 @@ class TestHomodyneUpdate:
     def test_bad_quadrature_rejected(self):
         with pytest.raises(InvalidInputError):
             homodyne_update(vacuum(2), 0, "y", 0.0)
+
+    @pytest.mark.parametrize("quadrature", ["x", "p"])
+    def test_zero_variance_quadrature_rejected(self, quadrature):
+        """A quadrature without variance carries no information to condition
+        on; the outcome must not be silently ignored."""
+        cov = np.diag([0.0, 0.0, 1.0, 1.0])
+        with pytest.raises(InvalidInputError):
+            homodyne_update(GaussianState(2, np.zeros(4), cov), 0, quadrature, 0.7)
+
+    @pytest.mark.parametrize("modes", [2, 3, 4])
+    def test_matches_pseudo_inverse_oracle(self, rng, modes):
+        """Scalar Schur complement against the projected pseudo-inverse, to a
+        few dozen roundings of the largest term each side sums: max|cov| *
+        gain for the covariance, and the mean plus gain * |outcome - mean|,
+        with gain = max|cov| / B[q, q] bounding the conditioning gain."""
+        eps = np.finfo(float).eps
+        for _ in range(5):
+            st = random_physical_state(rng, modes)
+            mode = int(rng.integers(modes))
+            for quadrature in ("x", "p"):
+                q = 2 * mode + (quadrature == "p")
+                gain = np.abs(st.cov).max() / st.cov[q, q]
+                for outcome in (-3.0, 0.0, 0.4, 12.5):
+                    got = homodyne_update(st, mode, quadrature, outcome)
+                    mean, cov = pinv_homodyne_update(st, mode, quadrature, outcome)
+                    mean_scale = np.abs(st.mean).max() + gain * (abs(outcome) + np.abs(st.mean).max())
+                    assert np.abs(got.cov - cov).max() <= 64 * eps * np.abs(st.cov).max() * gain
+                    assert np.abs(got.mean - mean).max() <= 64 * eps * mean_scale
 
 
 class TestHeterodyneUpdate:

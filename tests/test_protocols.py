@@ -183,12 +183,6 @@ class TestNoncoopPipeline:
             assert abs(out.fidelity_charlie - f_noncoop(alpha)) < 1e-10
             assert np.abs(out.mean_residual_bob).max() < 1e-9
 
-    def test_covariance_outcome_independent(self):
-        amp = ComplexAmplitude(0.2, 0.4)
-        a = run_noncoop_pipeline(3.0, amp, ComplexAmplitude(0.0, 0.0))
-        b = run_noncoop_pipeline(3.0, amp, ComplexAmplitude(7.0, -3.0))
-        np.testing.assert_allclose(a.conditional_cov_bob, b.conditional_cov_bob, atol=1e-12)
-
     def test_domain(self):
         with pytest.raises(DomainError):
             run_noncoop_pipeline(0.2, ComplexAmplitude(0, 0), ComplexAmplitude(0, 0))
@@ -215,26 +209,6 @@ class TestCoopPipeline:
         assert out.fidelity_charlie == pytest.approx(1.0, abs=1e-12)
         out = run_coop_pipeline(2.0, ComplexAmplitude(0, 0), ComplexAmplitude(0, 0), ComplexAmplitude(1, 0))
         assert out.fidelity_charlie == pytest.approx(math.exp(-1.0), abs=1e-12)
-
-    def test_covariance_outcome_independent(self):
-        amp = ComplexAmplitude(0.2, 0.4)
-        a = run_coop_pipeline(3.0, amp, ComplexAmplitude(0, 0), ComplexAmplitude(0, 0))
-        b = run_coop_pipeline(3.0, amp, ComplexAmplitude(-4, 2), ComplexAmplitude(1, 9))
-        np.testing.assert_allclose(a.conditional_cov_bob, b.conditional_cov_bob, atol=1e-12)
-
-    def test_role_swap_inverts_performances(self):
-        amp = ComplexAmplitude(0.6, -0.2)
-        eta = ComplexAmplitude(0.9, 0.1)
-        mu = ComplexAmplitude(-0.5, 0.3)
-        default = run_coop_pipeline(2.0, amp, eta, mu, measuring_receiver="c")
-        swapped = run_coop_pipeline(2.0, amp, eta, mu, measuring_receiver="b")
-        assert swapped.fidelity_charlie == pytest.approx(default.fidelity_bob, abs=1e-12)
-        assert swapped.fidelity_bob == pytest.approx(default.fidelity_charlie, abs=1e-12)
-
-    def test_bad_role(self):
-        with pytest.raises(InvalidInputError):
-            run_coop_pipeline(2.0, ComplexAmplitude(0, 0), ComplexAmplitude(0, 0),
-                              ComplexAmplitude(0, 0), measuring_receiver="a")
 
 
 class TestMeasurerAverage:
