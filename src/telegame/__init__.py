@@ -41,7 +41,6 @@ from .montecarlo import McConfig, McEstimate, estimate_fidelities
 from .protocols import (
     StrategyOutcome,
     average_coherent_fidelity,
-    coop_measurer_average_fidelity,
     f_ab_coop,
     f_ac_coop,
     f_coop_avg,
@@ -70,7 +69,6 @@ __all__ = [
     "beam_splitter_50_50",
     "build_cm",
     "channel_params",
-    "coop_measurer_average_fidelity",
     "displace",
     "estimate_fidelities",
     "exchange_symmetry_check",

@@ -17,7 +17,6 @@ from .errors import DomainError
 from .gaussian import ComplexAmplitude, ZERO_AMPLITUDE, make_coherent, physicality, tensor
 from .montecarlo import McConfig, _ShotKernel, estimate_fidelities
 from .protocols import (
-    coop_measurer_average_fidelity,
     f_ab_coop,
     f_ac_coop,
     f_coop_avg,
@@ -135,10 +134,9 @@ def _check_pipeline_fab():
 
 
 def _check_measurer_average():
-    edge_cases = [(alpha, ZERO_AMPLITUDE) for alpha in (0.5, 2.0, 10.0)]
-    randomised = [(alpha, amp) for alpha, amp, _, _ in random_tuples(100)]
-    for alpha, amp in edge_cases + randomised:
-        got = coop_measurer_average_fidelity(alpha, amp)
+    edge_cases = [(alpha, ZERO_AMPLITUDE, ZERO_AMPLITUDE, ZERO_AMPLITUDE) for alpha in (0.5, 2.0, 10.0)]
+    for alpha, amp, eta, mu in edge_cases + list(random_tuples(100)):
+        got = run_coop_pipeline(alpha, amp, eta, mu).fidelity_charlie
         if abs(got - f_ac_coop(alpha)) > 1e-10:
             return f"exact outcome average {got} != 1/(kappa+1) at alpha={alpha}, input {amp}"
     return None

@@ -273,9 +273,9 @@ def heterodyne_update(
 ) -> GaussianState:
     """Conditional state after a heterodyne detection of one mode.
 
-    The POVM adds (1/2) I of noise to the measured block. For a single-mode
-    state there is nothing left to condition; query
-    :func:`heterodyne_outcome_distribution` instead.
+    The POVM adds (1/2) I of noise to the measured block, which must then be
+    positive definite. For a single-mode state there is nothing left to
+    condition; query :func:`heterodyne_outcome_distribution` instead.
     """
     if state.modes < 2:
         raise InvalidInputError(
@@ -283,7 +283,11 @@ def heterodyne_update(
             "use heterodyne_outcome_distribution"
         )
     keep_modes, mean_k, mean_m, A, B, C = _split_blocks(state, mode)
-    noisy = np.linalg.inv(B + 0.5 * np.eye(2))
+    noisy = B + 0.5 * np.eye(2)
+    det = noisy[0, 0] * noisy[1, 1] - noisy[0, 1] * noisy[1, 0]
+    if not (noisy[0, 0] > 0.0 and det > 0.0):
+        raise InvalidInputError(f"measured block + I/2 is not positive definite (det {det:.3e})")
+    noisy = np.linalg.inv(noisy)
     cov = A - C @ noisy @ C.T
     mean = mean_k + C @ noisy @ (outcome.as_mean() - mean_m)
     return GaussianState(len(keep_modes), mean, cov)

@@ -7,7 +7,10 @@ level as a quantum-nondemolition feedforward coupling (a symplectic sum gate)
 followed by a partial trace over the measured ports. At unit gain the
 announced results cancel out of the receivers' output exactly, which is why
 every pipeline fidelity is independent of the concrete measurement record and
-must agree with the closed forms to machine precision.
+must agree with the closed forms to machine precision. The records stay as
+unread positional arguments only because the benchmark harness
+(`perfbench/harness.py`) passes them; dropping them is one signature change
+made together with those harness lines.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .gaussian import (
     apply_symplectic,
     beam_splitter_matrix,
     fidelity_vs_coherent,
-    heterodyne_outcome_distribution,
     make_coherent,
     partial_trace,
     tensor,
@@ -39,6 +41,8 @@ _SQRT2 = math.sqrt(2.0)
 # Mode layout of the pipelines: 0 = input, 1 = sender's channel mode,
 # 2 = receiver b, 3 = receiver c, 4 = heterodyne ancilla (cooperative only).
 _IN, _A, _B, _C, _ANC = 0, 1, 2, 3, 4
+# Charlie's heterodyne reads x of Charlie's port and p of the ancilla's port
+_HET = np.array([2 * _C, 2 * _ANC + 1])
 
 
 @dataclass(frozen=True)
@@ -190,8 +194,8 @@ def run_noncoop_pipeline(
     """Run the standard (non-cooperative) strategy through the Gaussian pipeline.
 
     `bell_outcome` is the announced result; at unit gain it cancels from both
-    receivers' outputs, so the returned fidelities carry no dependence on it
-    (the argument is kept to mirror a single instance of the game).
+    receivers' outputs, so it is not read (see the module docstring for why it
+    stays).
     """
     st = apply_symplectic(_joint_state(alpha, input_amp, False), noncoop_symplectic(4))
     bob = partial_trace(st, [_B])
@@ -212,17 +216,22 @@ def run_coop_pipeline(
     """Run the cooperative strategy: Charlie heterodynes and announces, Bob
     applies the modified shift.
 
-    Bob's output is exact for every (bell, heterodyne) record. Charlie
-    reconstructs the coherent state at `het_outcome`, so only Charlie's
-    single-trajectory fidelity depends on the record; averaged over the
-    heterodyne law it equals :func:`f_ac_coop` (see
-    :func:`coop_measurer_average_fidelity`).
+    Neither record is read; both stay positional because the benchmark
+    harness passes them. Charlie's fidelity is averaged over the heterodyne
+    law, read off the circuit's output: the feedforward to Bob leaves x of
+    Charlie's port and p of the ancilla's port untouched, so the outcome has
+    mean sqrt(2) times their means and covariance 2 times their block, and
+    Charlie's state is the mixture of coherent states over it (covariance
+    raised by I/2, as in :func:`average_coherent_fidelity`).
     """
     st = apply_symplectic(_joint_state(alpha, input_amp, True), coop_symplectic(channel_params(alpha)))
     bob = partial_trace(st, [_B])
+    charlie = GaussianState(
+        1, _SQRT2 * st.mean[_HET], 2.0 * st.cov[_HET[:, None], _HET] + 0.5 * np.eye(2)
+    )
     return StrategyOutcome(
         fidelity_bob=fidelity_vs_coherent(bob, input_amp),
-        fidelity_charlie=fidelity_vs_coherent(make_coherent(het_outcome), input_amp),
+        fidelity_charlie=fidelity_vs_coherent(charlie, input_amp),
         mean_residual_bob=bob.mean - input_amp.as_mean(),
     )
 
@@ -243,19 +252,3 @@ def average_coherent_fidelity(
         raise InvalidInputError(f"outcome covariance must be 2x2, got shape {cov.shape}")
     mixture = GaussianState(1, outcome_mean.as_mean(), cov + 0.5 * np.eye(2))
     return fidelity_vs_coherent(mixture, target)
-
-
-def coop_measurer_average_fidelity(
-    alpha: float, input_amp: ComplexAmplitude = ZERO_AMPLITUDE
-) -> float:
-    """Exact outcome-averaged fidelity of Charlie, the measuring receiver.
-
-    Charlie's heterodyne-outcome law is read from the non-cooperative
-    pipeline output (the mode right before the measurement): its mean sits at
-    the input amplitude and its covariance is kappa * I in quadrature units.
-    The closed-form Gaussian integral over that law equals 1/(kappa+1), i.e.
-    :func:`f_ac_coop`, for every input amplitude.
-    """
-    st = apply_symplectic(_joint_state(alpha, input_amp, False), noncoop_symplectic(4))
-    mean, cov = heterodyne_outcome_distribution(partial_trace(st, [_C]), 0)
-    return average_coherent_fidelity(mean, cov, input_amp)

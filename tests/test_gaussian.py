@@ -301,6 +301,14 @@ class TestHeterodyneUpdate:
         with pytest.raises(InvalidInputError, match="distribution"):
             heterodyne_update(vacuum(1), 0, ComplexAmplitude(0.0, 0.0))
 
+    @pytest.mark.parametrize("variance", [-0.5, -1.0])
+    def test_measured_block_not_positive_rejected(self, variance):
+        """B + I/2 singular (-0.5) or negative definite (-1) has no outcome
+        law to condition on; both must raise the typed error."""
+        cov = np.diag([variance, variance, 1.0, 1.0])
+        with pytest.raises(InvalidInputError, match="positive definite"):
+            heterodyne_update(GaussianState(2, np.zeros(4), cov), 0, ComplexAmplitude(0.3, 0.0))
+
 
 class TestHeterodyneOutcomeDistribution:
     def test_vacuum(self):

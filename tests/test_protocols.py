@@ -10,7 +10,6 @@ from telegame import (
     average_coherent_fidelity,
     build_cm,
     channel_params,
-    coop_measurer_average_fidelity,
     f_ab_coop,
     f_ac_coop,
     f_coop_avg,
@@ -21,7 +20,8 @@ from telegame import (
     run_noncoop_pipeline,
     symplectic_form,
 )
-from telegame.protocols import coop_symplectic, noncoop_symplectic, sum_gate_p, sum_gate_x
+from telegame.gaussian import beam_splitter_matrix
+from telegame.protocols import _ANC, _C, coop_symplectic, noncoop_symplectic, sum_gate_p, sum_gate_x
 
 from conftest import random_amplitude
 from oracles import reduced_channel, two_mode_teleport_fidelity
@@ -199,27 +199,56 @@ class TestCoopPipeline:
         for alpha, amp, eta, mu in random_tuples(50, seed=77):
             out = run_coop_pipeline(alpha, amp, eta, mu)
             assert abs(out.fidelity_bob - f_ab_coop(alpha)) < 1e-10
+            assert abs(out.fidelity_charlie - f_ac_coop(alpha)) < 1e-10
             assert np.abs(out.mean_residual_bob).max() < 1e-9
 
-    def test_measurer_trajectory_fidelity(self):
-        """The measuring receiver scores the overlap of the reconstructed
-        coherent state with the input; at mu = input it is unity."""
-        amp = ComplexAmplitude(0.5, -0.5)
-        out = run_coop_pipeline(2.0, amp, ComplexAmplitude(1.0, 1.0), amp)
-        assert out.fidelity_charlie == pytest.approx(1.0, abs=1e-12)
-        out = run_coop_pipeline(2.0, ComplexAmplitude(0, 0), ComplexAmplitude(0, 0), ComplexAmplitude(1, 0))
-        assert out.fidelity_charlie == pytest.approx(math.exp(-1.0), abs=1e-12)
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
+    def test_feedforward_leaves_heterodyne_ports_alone(self, alpha):
+        """Charlie's fidelity is read from x of Charlie's port and p of the
+        ancilla's port, so the feedforward to Bob must not touch those rows."""
+        before = beam_splitter_matrix(5, _C, _ANC) @ noncoop_symplectic(5)
+        rows = [2 * _C, 2 * _ANC + 1]
+        np.testing.assert_array_equal(coop_symplectic(channel_params(alpha))[rows], before[rows])
+
+
+class TestRecordIndependence:
+    """At unit gain no record enters either pipeline's output."""
+
+    RECORDS = (
+        (ComplexAmplitude(0.0, 0.0), ComplexAmplitude(0.0, 0.0)),
+        (ComplexAmplitude(3.1, -0.7), ComplexAmplitude(-2.4, 5.0)),
+    )
+
+    @staticmethod
+    def _fields(out):
+        return out.fidelity_bob, out.fidelity_charlie, out.mean_residual_bob.tolist()
+
+    def test_noncoop(self):
+        amp = ComplexAmplitude(0.7, -1.1)
+        one, two = (self._fields(run_noncoop_pipeline(3.0, amp, eta)) for eta, _ in self.RECORDS)
+        assert one == two
+
+    def test_coop(self):
+        amp = ComplexAmplitude(0.7, -1.1)
+        one, two = (self._fields(run_coop_pipeline(3.0, amp, eta, mu)) for eta, mu in self.RECORDS)
+        assert one == two
 
 
 class TestMeasurerAverage:
+    """Charlie's cooperative fidelity, averaged over the heterodyne law the
+    pipeline reads off its own output, against 1/(kappa + 1)."""
+
     def test_exact_average_matches_closed_form(self):
+        zero = ComplexAmplitude(0.0, 0.0)
         for alpha in (0.5, 2.0, 10.0):
-            assert abs(coop_measurer_average_fidelity(alpha) - f_ac_coop(alpha)) < 1e-10
+            got = run_coop_pipeline(alpha, zero, zero, zero).fidelity_charlie
+            assert abs(got - f_ac_coop(alpha)) < 1e-10
 
     def test_input_independence(self, rng):
         for _ in range(5):
             amp = random_amplitude(rng)
-            assert abs(coop_measurer_average_fidelity(2.0, amp) - 0.4) < 1e-10
+            got = run_coop_pipeline(2.0, amp, random_amplitude(rng), random_amplitude(rng)).fidelity_charlie
+            assert abs(got - 0.4) < 1e-10
 
     @pytest.mark.parametrize("cov", [-np.eye(2), -2.0 * np.eye(2), [[np.nan, 0.0], [0.0, 1.0]],
                                      np.eye(4)])
