@@ -40,7 +40,6 @@ from .gaussian import (
 from .montecarlo import McConfig, McEstimate, estimate_fidelities
 from .protocols import (
     StrategyOutcome,
-    average_coherent_fidelity,
     f_ab_coop,
     f_ac_coop,
     f_coop_avg,
@@ -65,7 +64,6 @@ __all__ = [
     "ThresholdResult",
     "ZERO_AMPLITUDE",
     "apply_symplectic",
-    "average_coherent_fidelity",
     "beam_splitter_50_50",
     "build_cm",
     "channel_params",

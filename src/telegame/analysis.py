@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, InvalidInputError
+from .errors import BracketError, InvalidInputError, require_int
 from .protocols import f_ab_coop, f_ac_coop, f_coop_avg, f_noncoop
 
 _MAX_ITER = 200
@@ -40,8 +40,7 @@ def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[SweepRow]:
         raise InvalidInputError(f"alpha_min and alpha_max must be finite, got [{alpha_min}, {alpha_max}]")
     if not (0.5 <= alpha_min < alpha_max):
         raise InvalidInputError(f"need 1/2 <= alpha_min < alpha_max, got [{alpha_min}, {alpha_max}]")
-    if steps < 2:
-        raise InvalidInputError(f"steps must be >= 2, got {steps}")
+    require_int("steps", steps, 2)
     rows = []
     for alpha in np.linspace(alpha_min, alpha_max, steps):
         a = float(alpha)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_int
 
 # Tolerances fixed by contract: covariance constructors reject asymmetry
 # above _SYM_TOL (after symmetrizing), the uncertainty check accepts
@@ -77,9 +77,18 @@ class ComplexAmplitude:
 ZERO_AMPLITUDE = ComplexAmplitude(0.0, 0.0)
 
 
+def _real(values, what: str) -> np.ndarray:
+    """`values` as an array, refusing complex entries before any float cast
+    could drop their imaginary parts."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise InvalidInputError(f"{what} must be real, got dtype {arr.dtype}")
+    return arr
+
+
 def quadrature_vector(values) -> np.ndarray:
     """Validate and copy a length-2n mean vector."""
-    vec = np.array(values, dtype=float)
+    vec = np.array(_real(values, "mean vector"), dtype=float)
     if vec.ndim != 1 or vec.size == 0 or vec.size % 2 != 0:
         raise InvalidInputError(f"mean vector must have even positive length, got shape {vec.shape}")
     if not np.isfinite(vec).all():
@@ -89,7 +98,7 @@ def quadrature_vector(values) -> np.ndarray:
 
 def covariance_matrix(entries) -> np.ndarray:
     """Validate, symmetrize and copy a 2n x 2n covariance matrix."""
-    cov = np.asarray(entries, dtype=float)
+    cov = np.asarray(_real(entries, "covariance"), dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] == 0 or cov.shape[0] % 2 != 0:
         raise InvalidInputError(f"covariance must be square with even dimension, got shape {cov.shape}")
     if not np.isfinite(cov).all():
@@ -131,8 +140,7 @@ class GaussianState:
 
 
 def _check_mode(state: GaussianState, mode: int) -> int:
-    if not isinstance(mode, (int, np.integer)) or not 0 <= mode < state.modes:
-        raise InvalidInputError(f"mode index {mode} out of range for {state.modes}-mode state")
+    require_int("mode index", mode, 0, state.modes)
     return int(mode)
 
 
@@ -182,8 +190,7 @@ def beam_splitter_matrix(n_modes: int, i: int, j: int) -> np.ndarray:
     if i == j:
         raise InvalidInputError("beam splitter needs two distinct modes")
     for m in (i, j):
-        if not 0 <= m < n_modes:
-            raise InvalidInputError(f"mode index {m} out of range for {n_modes} modes")
+        require_int("mode index", m, 0, n_modes)
     S = np.eye(2 * n_modes)
     s = 1.0 / _SQRT2
     for q in (0, 1):  # same rotation on x and p
@@ -231,16 +238,22 @@ def physicality(cov) -> bool:
     return float(np.linalg.eigvalsh(herm).min()) >= -slack
 
 
-def _split_blocks(state: GaussianState, mode: int):
-    """Kept/measured partition of mean and covariance for one measured mode."""
+def _condition(state: GaussianState, mode: int, reads) -> GaussianState:
+    """Condition on reads (quadrature, added_noise, outcome) of `mode` in turn,
+    each a scalar Schur complement, g = cov[:, k] / (cov[k, k] + added_noise),
+    of the covariance the earlier reads left; then remove the measured mode."""
     i = _check_mode(state, mode)
-    keep_modes = [m for m in range(state.modes) if m != i]
-    kidx = _mode_slices(keep_modes)
-    m = slice(2 * i, 2 * i + 2)
-    A = state.cov[kidx[:, None], kidx]
-    B = state.cov[m, m]
-    C = state.cov[kidx, m]
-    return keep_modes, state.mean[kidx], state.mean[m], A, B, C
+    mean, cov = state.mean, state.cov
+    for quadrature, noise, outcome in reads:
+        k = 2 * i + (quadrature == "p")
+        var = cov[k, k] + noise
+        if not var > 0.0:
+            raise InvalidInputError(f"measured block + noise is not positive definite ({quadrature}: {var:.3e})")
+        g = cov[:, k] / var
+        mean = mean + g * (outcome - mean[k])
+        cov = cov - np.outer(g, cov[:, k])
+    keep = _mode_slices([m for m in range(state.modes) if m != i])
+    return GaussianState(state.modes - 1, mean[keep], cov[keep[:, None], keep])
 
 
 def homodyne_update(
@@ -249,8 +262,8 @@ def homodyne_update(
     """Conditional state after a homodyne detection of one quadrature.
 
     The measured mode is removed. In the infinitely-squeezed limit only the
-    measured quadrature's variance B[q, q] enters, as a scalar Schur
-    complement; it must be positive.
+    measured quadrature's variance enters, as a scalar Schur complement; it
+    must be positive.
     """
     if state.modes < 2:
         raise InvalidInputError("homodyne conditioning needs at least two modes")
@@ -258,14 +271,7 @@ def homodyne_update(
         raise InvalidInputError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
     if not math.isfinite(outcome):
         raise InvalidInputError("homodyne outcome must be finite")
-    keep_modes, mean_k, mean_m, A, B, C = _split_blocks(state, mode)
-    q = 0 if quadrature == "x" else 1
-    if not B[q, q] > 0.0:
-        raise InvalidInputError(f"measured {quadrature} variance {B[q, q]:.3e} is not positive")
-    g = C[:, q] / B[q, q]
-    cov = A - np.outer(g, C[:, q])
-    mean = mean_k + g * (outcome - mean_m[q])
-    return GaussianState(len(keep_modes), mean, cov)
+    return _condition(state, mode, [(quadrature, 0.0, outcome)])
 
 
 def heterodyne_update(
@@ -273,24 +279,19 @@ def heterodyne_update(
 ) -> GaussianState:
     """Conditional state after a heterodyne detection of one mode.
 
-    The POVM adds (1/2) I of noise to the measured block, which must then be
-    positive definite. For a single-mode state there is nothing left to
-    condition; query :func:`heterodyne_outcome_distribution` instead.
+    The POVM adds (1/2) I of noise to the measured block B. Reading x and then
+    p, each with noise 1/2, conditions by (B + I/2)^{-1}; both read variances
+    are positive exactly when B + I/2 is positive definite (Sylvester). For a
+    single-mode state there is nothing left to condition; query
+    :func:`heterodyne_outcome_distribution` instead.
     """
     if state.modes < 2:
         raise InvalidInputError(
             "heterodyne on a single-mode state leaves no conditional state; "
             "use heterodyne_outcome_distribution"
         )
-    keep_modes, mean_k, mean_m, A, B, C = _split_blocks(state, mode)
-    noisy = B + 0.5 * np.eye(2)
-    det = noisy[0, 0] * noisy[1, 1] - noisy[0, 1] * noisy[1, 0]
-    if not (noisy[0, 0] > 0.0 and det > 0.0):
-        raise InvalidInputError(f"measured block + I/2 is not positive definite (det {det:.3e})")
-    noisy = np.linalg.inv(noisy)
-    cov = A - C @ noisy @ C.T
-    mean = mean_k + C @ noisy @ (outcome.as_mean() - mean_m)
-    return GaussianState(len(keep_modes), mean, cov)
+    x, p = outcome.as_mean()
+    return _condition(state, mode, [("x", 0.5, x), ("p", 0.5, p)])
 
 
 def heterodyne_outcome_distribution(
@@ -312,11 +313,18 @@ def fidelity_vs_coherent(state: GaussianState, amp: ComplexAmplitude) -> float:
 
     F = exp(-(1/2) d^T (sigma + I/2)^{-1} d) / sqrt(det(sigma + I/2)) with
     d the mean mismatch; lies in (0, 1]. The 2x2 inverse and determinant are
-    written out in closed form.
+    written out in closed form. sigma must obey the single-mode uncertainty
+    bound, sigma[0, 0] > 0 and det(sigma) >= 1/4, up to the slack of
+    :func:`physicality` times the trace.
     """
     if state.modes != 1:
         raise InvalidInputError(f"fidelity_vs_coherent needs a single-mode state, got {state.modes}")
     a, b, c, d = state.cov.ravel().tolist()
+    excess = a * d - b * c - 0.25
+    if excess < 0.0:  # at the bound only rounding is below it; the slack forgives that
+        excess += max(_PHYS_TOL, _PHYS_REL * 2 * max(abs(a), abs(b), abs(d))) * (a + d)
+    if not (a > 0.0 and excess >= 0.0):
+        raise InvalidInputError(f"covariance breaks the uncertainty bound det >= 1/4 (det {a * d - b * c:.3e})")
     a += 0.5
     d += 0.5
     det = a * d - b * c

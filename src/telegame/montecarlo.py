@@ -27,13 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, build_cm, channel_params
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_int
 from .gaussian import (
     ComplexAmplitude,
     GaussianState,
     ZERO_AMPLITUDE,
     beam_splitter_50_50,
     displace,
+    heterodyne_outcome_distribution,
     heterodyne_update,
     homodyne_update,
     make_coherent,
@@ -129,7 +130,7 @@ class _ShotKernel:
         st = homodyne_update(st, 0, "p", m[1])  # modes left: 0 = b, 1 = c
         eta = ComplexAmplitude(-m[0], m[1])
         st = displace(displace(st, 0, eta), 1, eta)
-        mu = st.mode_mean(1) + np.linalg.cholesky(st.mode_cov(1) + 0.5 * np.eye(2)) @ z[4:6]
+        mu = st.mode_mean(1) + np.linalg.cholesky(heterodyne_outcome_distribution(st, 1)[1]) @ z[4:6]
         mu_amp = ComplexAmplitude.from_mean(mu)
         shift = modified_shift(eta, mu_amp, params)
         helped = heterodyne_update(st, 1, mu_amp)
@@ -164,20 +165,15 @@ def _chunk_sums(kernel: _ShotKernel, seed: int, lo: int, hi: int) -> np.ndarray:
     return np.concatenate([d.sum(axis=0), (d * d).sum(axis=0)])
 
 
-def _require_int(name: str, value, lo: int, hi: float = math.inf) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value < hi:
-        raise InvalidInputError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
-
-
 def estimate_fidelities(config: McConfig, workers: int = 1) -> McEstimate:
     """Estimate all three fidelities at config.alpha from config.shots trajectories.
 
     `workers` only sets the degree of parallelism; the estimate is
     bit-identical for every value of it.
     """
-    _require_int("shots", config.shots, 1)
-    _require_int("seed", config.seed, 0, 2**64)
-    _require_int("workers", workers, 1)
+    require_int("shots", config.shots, 1)
+    require_int("seed", config.seed, 0, 2**64)
+    require_int("workers", workers, 1)
     std = config.input_ensemble_std
     if isinstance(std, bool) or not isinstance(std, numbers.Real) or not 0.0 <= std <= _MAX_ENSEMBLE_STD:
         raise InvalidInputError(f"input_ensemble_std must be a real in [0, {_MAX_ENSEMBLE_STD:g}], got {std!r}")

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, _checked_alpha, build_cm, channel_params, kappa
-from .errors import InvalidInputError
 from .gaussian import (
     ComplexAmplitude,
     GaussianState,
@@ -221,8 +220,8 @@ def run_coop_pipeline(
     law, read off the circuit's output: the feedforward to Bob leaves x of
     Charlie's port and p of the ancilla's port untouched, so the outcome has
     mean sqrt(2) times their means and covariance 2 times their block, and
-    Charlie's state is the mixture of coherent states over it (covariance
-    raised by I/2, as in :func:`average_coherent_fidelity`).
+    Charlie's state is the mixture of coherent states over it: the law's
+    covariance raised by I/2.
     """
     st = apply_symplectic(_joint_state(alpha, input_amp, True), coop_symplectic(channel_params(alpha)))
     bob = partial_trace(st, [_B])
@@ -235,20 +234,3 @@ def run_coop_pipeline(
         mean_residual_bob=bob.mean - input_amp.as_mean(),
     )
 
-
-def average_coherent_fidelity(
-    outcome_mean: ComplexAmplitude, outcome_cov: np.ndarray, target: ComplexAmplitude
-) -> float:
-    """Exact Gaussian average of |<target|mu>|^2 over a heterodyne outcome law.
-
-    For mu with quadrature-unit covariance Sigma around mean m, the overlap
-    kernel exp(-|m_mu - u|^2 / 2) averages to
-    exp(-(1/2) d^T (I+Sigma)^{-1} d) / sqrt(det(I + Sigma)), d = m - u.
-    That is the overlap of `target` with the mixture of the coherent states
-    |mu>, the Gaussian state of mean m and covariance Sigma + I/2.
-    """
-    cov = np.asarray(outcome_cov, dtype=float)
-    if cov.shape != (2, 2):
-        raise InvalidInputError(f"outcome covariance must be 2x2, got shape {cov.shape}")
-    mixture = GaussianState(1, outcome_mean.as_mean(), cov + 0.5 * np.eye(2))
-    return fidelity_vs_coherent(mixture, target)

@@ -80,6 +80,13 @@ class TestGaussianStateValidation:
         with pytest.raises(ValueError):
             st.cov[0, 0] = 9.0
 
+    @pytest.mark.parametrize("mean,cov", [(np.zeros(2), 0.5j * np.eye(2)), ([0.3j, 0.0], 0.5 * np.eye(2))])
+    def test_complex_input_rejected(self, mean, cov):
+        """A float cast would keep only the real part, turning 0.5j I into a
+        zero covariance; complex input must raise the typed error instead."""
+        with pytest.raises(InvalidInputError, match="real"):
+            GaussianState(1, mean, cov)
+
 
 class TestTensorAndPartialTrace:
     def test_vacuum_tensor_vacuum(self):
@@ -136,6 +143,11 @@ class TestBeamSplitter:
         back = beam_splitter_50_50(beam_splitter_50_50(st, 0, 2), 2, 0)
         np.testing.assert_allclose(back.cov, st.cov, atol=1e-12)
         np.testing.assert_allclose(back.mean, st.mean, atol=1e-12)
+
+    @pytest.mark.parametrize("i,j", [(1.5, 0), (0, True), (0, 3)])
+    def test_mode_indices_must_be_integers_in_range(self, i, j):
+        with pytest.raises(InvalidInputError):
+            beam_splitter_matrix(3, i, j)
 
     def test_matrix_is_symplectic(self):
         omega = symplectic_form(3)
@@ -240,6 +252,19 @@ class TestHomodyneUpdate:
         with pytest.raises(InvalidInputError):
             homodyne_update(vacuum(2), 0, "y", 0.0)
 
+    @pytest.mark.parametrize("mode", [True, 1.0, -1, 2])
+    def test_mode_must_be_an_integer_in_range(self, rng, mode):
+        """True is not mode 1, and 1.0 is not an index."""
+        with pytest.raises(InvalidInputError):
+            homodyne_update(random_physical_state(rng, 2), mode, "x", 0.3)
+
+    def test_numpy_integer_mode_accepted(self, rng):
+        st = random_physical_state(rng, 3)
+        want = homodyne_update(st, 1, "x", 0.3)
+        got = homodyne_update(st, np.int64(1), "x", 0.3)
+        np.testing.assert_array_equal(got.cov, want.cov)
+        np.testing.assert_array_equal(got.mean, want.mean)
+
     @pytest.mark.parametrize("quadrature", ["x", "p"])
     def test_zero_variance_quadrature_rejected(self, quadrature):
         """A quadrature without variance carries no information to condition
@@ -297,6 +322,21 @@ class TestHeterodyneUpdate:
         two = heterodyne_update(st, 0, ComplexAmplitude(5.0, -2.0))
         np.testing.assert_allclose(one.cov, two.cov, atol=1e-12)
 
+    @pytest.mark.parametrize("modes", [2, 3, 4])
+    def test_equals_beam_splitter_and_two_homodynes(self, rng, modes):
+        """Heterodyne is a balanced beam splitter with a vacuum ancilla, then
+        homodyne p on the ancilla's port and homodyne x on the mode's port;
+        the outcome amplitude is the pair of readings (x_r, p_r)."""
+        for _ in range(4):
+            st = random_physical_state(rng, modes)
+            x_r, p_r = rng.normal(0.0, 2.0, 2)
+            for mode in range(modes):
+                split = beam_splitter_50_50(tensor(st, vacuum(1)), mode, modes)
+                want = homodyne_update(homodyne_update(split, modes, "p", p_r), mode, "x", x_r)
+                got = heterodyne_update(st, mode, ComplexAmplitude(x_r, p_r))
+                np.testing.assert_allclose(got.cov, want.cov, rtol=0.0, atol=1e-13)
+                np.testing.assert_allclose(got.mean, want.mean, rtol=0.0, atol=1e-13)
+
     def test_single_mode_points_to_distribution(self):
         with pytest.raises(InvalidInputError, match="distribution"):
             heterodyne_update(vacuum(1), 0, ComplexAmplitude(0.0, 0.0))
@@ -348,6 +388,30 @@ class TestFidelityVsCoherent:
     def test_multimode_rejected(self):
         with pytest.raises(InvalidInputError):
             fidelity_vs_coherent(vacuum(2), ComplexAmplitude(0.0, 0.0))
+
+    @pytest.mark.parametrize("cov", [np.zeros((2, 2)), 0.1 * np.eye(2), np.diag([0.5, 0.2]),
+                                     0.5 * (1.0 - 1e-6) * np.eye(2)])
+    def test_below_uncertainty_bound_rejected(self, cov):
+        """Below det = 1/4 the overlap formula returns values up to 2; such a
+        covariance is no state, so it must raise the typed error."""
+        with pytest.raises(InvalidInputError, match="uncertainty"):
+            fidelity_vs_coherent(GaussianState(1, np.zeros(2), cov), ZERO)
+
+    def test_physical_squeezed_states_accepted(self):
+        """Squeezed thermal states, r <= 8 and thermal scale up to 1e6, pure
+        ones (scale 1) on the boundary included: physicality accepts every
+        one, and so must the scalar bound."""
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            nu = 10.0 ** rng.uniform(0.0, 6.0) if rng.random() < 0.5 else 1.0
+            r = rng.uniform(0.0, 8.0)
+            theta = rng.uniform(0.0, math.pi)
+            c, s = math.cos(theta), math.sin(theta)
+            rot = np.array([[c, -s], [s, c]])
+            cov = 0.5 * nu * rot @ np.diag([math.exp(2 * r), math.exp(-2 * r)]) @ rot.T
+            st = GaussianState(1, np.zeros(2), (cov + cov.T) / 2.0)
+            assert physicality(st.cov)
+            assert 0.0 < fidelity_vs_coherent(st, ZERO) <= 1.0
 
     def test_range_and_maximum(self, rng):
         for _ in range(40):

@@ -6,14 +6,15 @@ import pytest
 from telegame import (
     ComplexAmplitude,
     DomainError,
+    GaussianState,
     InvalidInputError,
-    average_coherent_fidelity,
     build_cm,
     channel_params,
     f_ab_coop,
     f_ac_coop,
     f_coop_avg,
     f_noncoop,
+    fidelity_vs_coherent,
     kappa,
     modified_shift,
     run_coop_pipeline,
@@ -250,16 +251,11 @@ class TestMeasurerAverage:
             got = run_coop_pipeline(2.0, amp, random_amplitude(rng), random_amplitude(rng)).fidelity_charlie
             assert abs(got - 0.4) < 1e-10
 
-    @pytest.mark.parametrize("cov", [-np.eye(2), -2.0 * np.eye(2), [[np.nan, 0.0], [0.0, 1.0]],
-                                     np.eye(4)])
-    def test_invalid_outcome_law_rejected(self, cov):
-        zero = ComplexAmplitude(0.0, 0.0)
-        with pytest.raises(InvalidInputError):
-            average_coherent_fidelity(zero, np.asarray(cov), zero)
-
     def test_integral_against_quadrature_oracle(self):
-        """Brute-force 2D quadrature of the overlap kernel against the
-        closed-form Gaussian average."""
+        """Brute-force 2D quadrature of the overlap kernel over an outcome
+        law (mean m, covariance Sigma) against the overlap of the target with
+        the coherent mixture GaussianState(m, Sigma + I/2): the identity the
+        cooperative pipeline's Charlie readout rests on."""
         mean = ComplexAmplitude(0.4, -0.2)
         cov = np.array([[1.8, 0.3], [0.3, 2.4]])
         target = ComplexAmplitude(0.1, 0.5)
@@ -274,5 +270,5 @@ class TestMeasurerAverage:
             -0.5 * ((X.ravel() - target.as_mean()[0]) ** 2 + (Y.ravel() - target.as_mean()[1]) ** 2)
         )
         oracle = float((density * kernel).sum() * dx * dx)
-        got = average_coherent_fidelity(mean, cov, target)
+        got = fidelity_vs_coherent(GaussianState(1, mean.as_mean(), cov + 0.5 * np.eye(2)), target)
         assert got == pytest.approx(oracle, abs=1e-6)
