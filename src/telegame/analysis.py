@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, InvalidInputError, require_int
+from .errors import BracketError, InvalidInputError, require_int, require_real
 from .protocols import f_ab_coop, f_ac_coop, f_coop_avg, f_noncoop
 
 _MAX_ITER = 200
@@ -36,8 +35,7 @@ class ThresholdResult:
 
 def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[SweepRow]:
     """Closed-form fidelities on a uniform alpha grid, endpoints included."""
-    if not (math.isfinite(alpha_min) and math.isfinite(alpha_max)):
-        raise InvalidInputError(f"alpha_min and alpha_max must be finite, got [{alpha_min}, {alpha_max}]")
+    alpha_min, alpha_max = require_real("alpha_min", alpha_min), require_real("alpha_max", alpha_max)
     if not (0.5 <= alpha_min < alpha_max):
         raise InvalidInputError(f"need 1/2 <= alpha_min < alpha_max, got [{alpha_min}, {alpha_max}]")
     require_int("steps", steps, 2)

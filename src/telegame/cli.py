@@ -7,6 +7,7 @@ failure, 4 solver failure, 5 statistical-consistency failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -65,13 +66,7 @@ def cmd_sweep(args) -> int:
 def cmd_threshold(args) -> int:
     result = find_threshold(args.tol)
     if args.json:
-        print(json.dumps({
-            "alpha_th": result.alpha_th,
-            "f_at_threshold": result.f_at_threshold,
-            "iterations": result.iterations,
-            "residual": result.residual,
-            "bracket_width": result.bracket_width,
-        }))
+        print(json.dumps(dataclasses.asdict(result)))
     else:
         print(f"alpha_th        {_fmt(result.alpha_th)}")
         print(f"f_at_threshold  {_fmt(result.f_at_threshold)}")

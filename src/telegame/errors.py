@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer-argument rule."""
+"""Exception types shared across the package, and the scalar-argument rules."""
 
 import math
+import numbers
 
 import numpy as np
 
@@ -26,3 +27,17 @@ def require_int(name: str, value, lo: int, hi: float = math.inf) -> None:
     refused, numpy integers accepted."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value < hi:
         raise InvalidInputError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
+
+
+def require_real(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """`value` as a float; InvalidInputError unless it is a real number, not a
+    bool, whose float is finite and in [lo, hi]."""
+    # A float skips the numbers.Real test, which costs about 0.4 us a call.
+    real = isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int or Fraction beyond the float range
+        x = math.nan
+    if not (math.isfinite(x) and lo <= x <= hi):
+        raise InvalidInputError(f"{name} must be a finite real in [{lo:g}, {hi:g}], got {value!r}")
+    return x

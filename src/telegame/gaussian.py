@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, require_int
+from .errors import InvalidInputError, require_int, require_real
 
 # Tolerances fixed by contract: covariance constructors reject asymmetry
 # above _SYM_TOL (after symmetrizing), the uncertainty check accepts
@@ -34,12 +34,13 @@ _PHYS_REL = 8.0 * np.finfo(float).eps
 _SQRT2 = math.sqrt(2.0)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16, typed=True)  # typed: 1.0 and True are not hits for 1
 def symplectic_form(n_modes: int) -> np.ndarray:
     """The 2n x 2n form Omega = direct sum of [[0, 1], [-1, 0]] blocks.
 
     Built once per size; the returned array is shared and read-only.
     """
+    require_int("n_modes", n_modes, 1)
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])
     omega = np.kron(np.eye(n_modes), block)
     omega.flags.writeable = False
@@ -54,12 +55,8 @@ class ComplexAmplitude:
     im: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise InvalidInputError(
-                f"amplitude components must be finite, got ({self.re}, {self.im})"
-            )
-        object.__setattr__(self, "re", float(self.re))
-        object.__setattr__(self, "im", float(self.im))
+        object.__setattr__(self, "re", require_real("amplitude re", self.re))
+        object.__setattr__(self, "im", require_real("amplitude im", self.im))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.re, self.im])
@@ -77,36 +74,17 @@ class ComplexAmplitude:
 ZERO_AMPLITUDE = ComplexAmplitude(0.0, 0.0)
 
 
-def _real(values, what: str) -> np.ndarray:
-    """`values` as an array, refusing complex entries before any float cast
-    could drop their imaginary parts."""
+def _real_array(values, shape: tuple, name: str) -> np.ndarray:
+    """`values` as a float array of exactly `shape` with finite entries; complex,
+    string, object and bool dtypes are refused before any float cast."""
     arr = np.asarray(values)
-    if arr.dtype.kind == "c":
-        raise InvalidInputError(f"{what} must be real, got dtype {arr.dtype}")
-    return arr
-
-
-def quadrature_vector(values) -> np.ndarray:
-    """Validate and copy a length-2n mean vector."""
-    vec = np.array(_real(values, "mean vector"), dtype=float)
-    if vec.ndim != 1 or vec.size == 0 or vec.size % 2 != 0:
-        raise InvalidInputError(f"mean vector must have even positive length, got shape {vec.shape}")
-    if not np.isfinite(vec).all():
-        raise InvalidInputError("mean vector contains non-finite entries")
-    return vec
-
-
-def covariance_matrix(entries) -> np.ndarray:
-    """Validate, symmetrize and copy a 2n x 2n covariance matrix."""
-    cov = np.asarray(_real(entries, "covariance"), dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] == 0 or cov.shape[0] % 2 != 0:
-        raise InvalidInputError(f"covariance must be square with even dimension, got shape {cov.shape}")
-    if not np.isfinite(cov).all():
-        raise InvalidInputError("covariance contains non-finite entries")
-    asym = np.abs(cov - cov.T).max()
-    if asym > _SYM_TOL:
-        raise InvalidInputError(f"covariance asymmetry {asym:.3e} exceeds tolerance {_SYM_TOL:.0e}")
-    return (cov + cov.T) / 2.0
+    if arr.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{name} must be real, got dtype {arr.dtype}")
+    if arr.shape != shape:
+        raise InvalidInputError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    return arr.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -118,13 +96,14 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = quadrature_vector(self.mean)
-        cov = covariance_matrix(self.cov)
-        if mean.size != 2 * self.modes or cov.shape[0] != 2 * self.modes:
-            raise InvalidInputError(
-                f"state with {self.modes} modes needs mean length {2 * self.modes} "
-                f"and cov shape ({2 * self.modes}, {2 * self.modes})"
-            )
+        require_int("modes", self.modes, 1)
+        dim = 2 * self.modes
+        mean = _real_array(self.mean, (dim,), "mean vector").copy()
+        cov = _real_array(self.cov, (dim, dim), "covariance")
+        asym = np.abs(cov - cov.T).max()
+        if asym > _SYM_TOL:
+            raise InvalidInputError(f"covariance asymmetry {asym:.3e} exceeds tolerance {_SYM_TOL:.0e}")
+        cov = (cov + cov.T) / 2.0
         mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -151,6 +130,7 @@ def _mode_slices(modes) -> np.ndarray:
 
 def vacuum(n_modes: int = 1) -> GaussianState:
     """n-mode vacuum: zero mean, covariance (1/2) I."""
+    require_int("n_modes", n_modes, 1)
     return GaussianState(n_modes, np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes))
 
 
@@ -171,10 +151,8 @@ def tensor(s1: GaussianState, s2: GaussianState) -> GaussianState:
 
 def apply_symplectic(state: GaussianState, S: np.ndarray) -> GaussianState:
     """Evolve the state under a symplectic matrix: cov -> S cov S^T, mean -> S mean."""
-    S = np.asarray(S, dtype=float)
     dim = 2 * state.modes
-    if S.shape != (dim, dim):
-        raise InvalidInputError(f"symplectic matrix must have shape ({dim}, {dim}), got {S.shape}")
+    S = _real_array(S, (dim, dim), "symplectic matrix")
     omega = symplectic_form(state.modes)
     if np.abs(S @ omega @ S.T - omega).max() > _SYM_TOL:
         raise InvalidInputError("matrix does not preserve the symplectic form")
@@ -187,6 +165,7 @@ def beam_splitter_matrix(n_modes: int, i: int, j: int) -> np.ndarray:
     Output mode i carries (q_i - q_j)/sqrt(2), mode j carries (q_i + q_j)/sqrt(2)
     for both quadratures.
     """
+    require_int("n_modes", n_modes, 2)
     if i == j:
         raise InvalidInputError("beam splitter needs two distinct modes")
     for m in (i, j):
@@ -203,8 +182,6 @@ def beam_splitter_matrix(n_modes: int, i: int, j: int) -> np.ndarray:
 
 def beam_splitter_50_50(state: GaussianState, i: int, j: int) -> GaussianState:
     """Mix modes i and j on a balanced beam splitter."""
-    _check_mode(state, i)
-    _check_mode(state, j)
     return apply_symplectic(state, beam_splitter_matrix(state.modes, i, j))
 
 
@@ -231,9 +208,10 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
 
 def physicality(cov) -> bool:
     """Uncertainty-principle test: cov - (i/2) Omega must be positive semidefinite."""
-    cov = covariance_matrix(cov)
+    n = max(np.shape(cov)[:1] + (2,)) // 2  # read as a state's cov; n >= 1 names a wrong shape
+    cov = GaussianState(n, np.zeros(2 * n), cov).cov
     dim = cov.shape[0]
-    herm = cov - 0.5j * symplectic_form(dim // 2)
+    herm = cov - 0.5j * symplectic_form(n)
     slack = max(_PHYS_TOL, _PHYS_REL * dim * float(np.abs(cov).max()))
     return float(np.linalg.eigvalsh(herm).min()) >= -slack
 
@@ -269,9 +247,7 @@ def homodyne_update(
         raise InvalidInputError("homodyne conditioning needs at least two modes")
     if quadrature not in ("x", "p"):
         raise InvalidInputError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
-    if not math.isfinite(outcome):
-        raise InvalidInputError("homodyne outcome must be finite")
-    return _condition(state, mode, [(quadrature, 0.0, outcome)])
+    return _condition(state, mode, [(quadrature, 0.0, require_real("homodyne outcome", outcome))])
 
 
 def heterodyne_update(
@@ -303,9 +279,8 @@ def heterodyne_outcome_distribution(
     outcome covariance B + (1/2) I in quadrature units.
     """
     i = _check_mode(state, mode)
-    mean = ComplexAmplitude.from_mean(state.mode_mean(i))
-    cov = state.mode_cov(i) + 0.5 * np.eye(2)
-    return mean, cov
+    q = slice(2 * i, 2 * i + 2)
+    return ComplexAmplitude.from_mean(state.mean[q]), state.cov[q, q] + 0.5 * np.eye(2)
 
 
 def fidelity_vs_coherent(state: GaussianState, amp: ComplexAmplitude) -> float:

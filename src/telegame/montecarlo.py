@@ -20,14 +20,13 @@ their state resets hold the GIL, so more workers do not run faster yet.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelParams, build_cm, channel_params
-from .errors import InvalidInputError, require_int
+from .errors import require_int, require_real
 from .gaussian import (
     ComplexAmplitude,
     GaussianState,
@@ -174,9 +173,7 @@ def estimate_fidelities(config: McConfig, workers: int = 1) -> McEstimate:
     require_int("shots", config.shots, 1)
     require_int("seed", config.seed, 0, 2**64)
     require_int("workers", workers, 1)
-    std = config.input_ensemble_std
-    if isinstance(std, bool) or not isinstance(std, numbers.Real) or not 0.0 <= std <= _MAX_ENSEMBLE_STD:
-        raise InvalidInputError(f"input_ensemble_std must be a real in [0, {_MAX_ENSEMBLE_STD:g}], got {std!r}")
+    std = require_real("input_ensemble_std", config.input_ensemble_std, 0.0, _MAX_ENSEMBLE_STD)
     kernel = _ShotKernel(config.alpha, std)
 
     bounds = [(lo, min(lo + _CHUNK, config.shots)) for lo in range(0, config.shots, _CHUNK)]

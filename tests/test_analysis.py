@@ -49,7 +49,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("bad", [(0.4, 12.0, 10), (2.0, 1.0, 10), (0.5, 12.0, 1),
                                      (0.5, math.inf, 3), (math.nan, 12.0, 3), (0.5, 12.0, 2.5),
-                                     (0.5, 12.0, True)])
+                                     (0.5, 12.0, True), ("a", 3, 10)])
     def test_invalid_arguments(self, bad):
         with pytest.raises(InvalidInputError):
             sweep(*bad)

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +47,16 @@ class TestComplexAmplitude:
         with pytest.raises(InvalidInputError):
             ComplexAmplitude(re, im)
 
+    @pytest.mark.parametrize("re,im", [(True, 0.0), (0.0, False)])
+    def test_bool_rejected(self, re, im):
+        with pytest.raises(InvalidInputError):
+            ComplexAmplitude(re, im)
+
+    def test_any_finite_real_accepted_as_float(self):
+        amp = ComplexAmplitude(np.float32(0.5), Fraction(1, 4))
+        assert (amp.re, amp.im) == (0.5, 0.25)
+        assert type(amp.re) is float and type(amp.im) is float
+
 
 class TestMakeCoherent:
     def test_vacuum_case(self):
@@ -86,6 +98,48 @@ class TestGaussianStateValidation:
         zero covariance; complex input must raise the typed error instead."""
         with pytest.raises(InvalidInputError, match="real"):
             GaussianState(1, mean, cov)
+
+    def test_small_integer_dtypes_are_read_as_floats(self):
+        """Symmetrizing in int8 would wrap 100 + 100 to -56."""
+        cov = np.array([[100, 0], [0, 100]], dtype=np.int8)
+        st = GaussianState(1, np.zeros(2, dtype=np.uint8), cov)
+        assert st.cov.dtype == float and st.mean.dtype == float
+        np.testing.assert_array_equal(st.cov, 100.0 * np.eye(2))
+
+
+def _symplectic_form_after_cache_fill(n_modes):
+    symplectic_form(1)
+    return symplectic_form(n_modes)
+
+
+# Each input is refused by one of the three rules: the real-array check
+# (arrays), require_real (real scalars) or require_int (mode counts).
+INVALID_INPUTS = {
+    "symplectic-complex": (lambda: apply_symplectic(vacuum(1), [[1, 0.5j], [0, 1]]), "symplectic matrix must be real"),
+    "symplectic-nan": (lambda: apply_symplectic(vacuum(1), [[math.nan, 0], [0, 1]]), "symplectic matrix contains non-finite"),
+    "state-float-modes": (lambda: GaussianState(1.0, np.zeros(2), 0.5 * np.eye(2)), "modes"),
+    "state-bool-modes": (lambda: GaussianState(True, np.zeros(2), 0.5 * np.eye(2)), "modes"),
+    "state-string-mean": (lambda: GaussianState(1, ["a", "b"], 0.5 * np.eye(2)), "mean vector must be real"),
+    "amplitude-string": (lambda: ComplexAmplitude("a", 0), "amplitude"),
+    "amplitude-complex": (lambda: ComplexAmplitude(1j, 0), "amplitude"),
+    "amplitude-beyond-float-range": (lambda: ComplexAmplitude(0, 10**400), "amplitude"),
+    "homodyne-string-outcome": (lambda: homodyne_update(vacuum(2), 0, "x", "a"), "homodyne outcome"),
+    "symplectic-form-fractional": (lambda: symplectic_form(1.5), "n_modes"),
+    "symplectic-form-negative": (lambda: symplectic_form(-1), "n_modes"),
+    "symplectic-form-bool-after-cache": (lambda: _symplectic_form_after_cache_fill(True), "n_modes"),
+    "vacuum-fractional": (lambda: vacuum(1.5), "n_modes"),
+    "beam-splitter-fractional-modes": (lambda: beam_splitter_matrix(1.5, 0, 1), "n_modes"),
+    "physicality-non-numeric": (lambda: physicality([["a", "b"], ["c", "d"]]), "covariance must be real"),
+}
+
+
+@pytest.mark.parametrize("call,message", INVALID_INPUTS.values(), ids=INVALID_INPUTS.keys())
+def test_invalid_input_raises_typed_error_without_warning(call, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidInputError, match=message):
+            call()
+    assert not caught, [str(w.message) for w in caught]
 
 
 class TestTensorAndPartialTrace:

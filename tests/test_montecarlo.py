@@ -183,11 +183,11 @@ class TestEstimator:
                 estimate_fidelities(McConfig(shots=bad, seed=1, alpha=2.0))
             with pytest.raises(InvalidInputError):
                 estimate_fidelities(McConfig(shots=10, seed=bad, alpha=2.0))
-        for bad_std in ("1", None, 1 + 0j, True):
+        for bad_std in ("1", None, 1 + 0j, True, np.bool_(True)):
             with pytest.raises(InvalidInputError):
                 estimate_fidelities(McConfig(shots=10, seed=1, alpha=2.0, input_ensemble_std=bad_std))
 
-    @pytest.mark.parametrize("std", [1e200, 1e308, sys.float_info.max, math.inf, math.nan])
+    @pytest.mark.parametrize("std", [1e200, 1e308, sys.float_info.max, math.inf, math.nan, 10**400])
     def test_huge_input_ensemble_is_rejected(self, std):
         with pytest.raises(InvalidInputError):
             estimate_fidelities(McConfig(shots=50, seed=1, alpha=2.0, input_ensemble_std=std))
