@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -272,3 +273,37 @@ class TestMeasurerAverage:
         oracle = float((density * kernel).sum() * dx * dx)
         got = fidelity_vs_coherent(GaussianState(1, mean.as_mean(), cov + 0.5 * np.eye(2)), target)
         assert got == pytest.approx(oracle, abs=1e-6)
+
+
+_ASYM = "covariance asymmetry {} exceeds tolerance 1e-09"
+# Outcome of each pipeline at large alpha, input 0.7 - 0.1i: None where it
+# returns, else the error's message. Rounding in S cov S^T breaks the
+# absolute asymmetry bound at some alphas and not at others, and the
+# cooperative f_ab drifts past 1e-10 where it returns (CHANGES.md, FOUND).
+LARGE_ALPHA_OUTCOMES = {
+    1e5: (None, None),
+    1e6: (None, None),
+    2e6: (_ASYM.format("1.164e-09"), None),
+    4e6: (None, None),
+    5e6: (None, None),
+    8e6: (_ASYM.format("1.863e-09"), _ASYM.format("1.863e-09")),
+    1e7: (_ASYM.format("2.794e-09"), _ASYM.format("3.545e-09")),
+    1e8: (_ASYM.format("5.215e-08"), _ASYM.format("4.773e-08")),
+    1e12: (_ASYM.format("1.831e-04"), _ASYM.format("3.662e-04")),
+    1e300: (_ASYM.format("4.461e+284"), _ASYM.format("1.340e+284")),
+    sys.float_info.max / 2: ("covariance contains non-finite entries",) * 2,
+}
+
+
+@pytest.mark.parametrize("alpha, outcomes", LARGE_ALPHA_OUTCOMES.items(), ids=[f"{a:g}" for a in LARGE_ALPHA_OUTCOMES])
+def test_large_alpha_outcomes_are_pinned(alpha, outcomes):
+    amp, zero = ComplexAmplitude(0.7, -0.1), ComplexAmplitude(0.0, 0.0)
+    runs = (lambda: run_noncoop_pipeline(alpha, amp, zero), lambda: run_coop_pipeline(alpha, amp, zero, zero))
+    for run, message in zip(runs, outcomes):
+        if message is None:
+            assert math.isfinite(run().fidelity_bob)
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):  # S cov S^T overflows before the check
+            with pytest.raises(InvalidInputError) as caught:
+                run()
+        assert type(caught.value) is InvalidInputError and str(caught.value) == message
