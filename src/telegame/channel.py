@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .gaussian import GaussianState
+from .gaussian import GaussianState, _real_array
 
 _SWAP_TOL = 1e-12
 # Largest alpha served: the last one at which 2 alpha - 1 is finite.
@@ -84,7 +84,7 @@ def build_cm(params: ChannelParams) -> GaussianState:
     cov[4:6, 0:2] = params.delta * Z2
     cov[2:4, 4:6] = params.gamma * I2
     cov[4:6, 2:4] = params.gamma * I2
-    return GaussianState(3, np.zeros(6), cov)
+    return GaussianState._trusted(3, np.zeros(6), _real_array(cov, (6, 6), "covariance"))
 
 
 def exchange_symmetry_check(state: GaussianState) -> bool:

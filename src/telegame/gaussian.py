@@ -104,10 +104,16 @@ class GaussianState:
         if asym > _SYM_TOL:
             raise InvalidInputError(f"covariance asymmetry {asym:.3e} exceeds tolerance {_SYM_TOL:.0e}")
         cov = (cov + cov.T) / 2.0
-        mean.flags.writeable = False
-        cov.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        mean.flags.writeable = cov.flags.writeable = False
+        self.__dict__.update(mean=mean, cov=cov)
+
+    @classmethod
+    def _trusted(cls, modes: int, mean: np.ndarray, cov: np.ndarray) -> "GaussianState":
+        """A state from new finite float arrays, cov exactly symmetric: frozen in place, not checked."""
+        state = object.__new__(cls)
+        mean.flags.writeable = cov.flags.writeable = False
+        state.__dict__.update(modes=modes, mean=mean, cov=cov)
+        return state
 
     def mode_mean(self, mode: int) -> np.ndarray:
         i = _check_mode(self, mode)
@@ -131,12 +137,13 @@ def _mode_slices(modes) -> np.ndarray:
 def vacuum(n_modes: int = 1) -> GaussianState:
     """n-mode vacuum: zero mean, covariance (1/2) I."""
     require_int("n_modes", n_modes, 1)
-    return GaussianState(n_modes, np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes))
+    return GaussianState._trusted(n_modes, np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes))
 
 
 def make_coherent(amp: ComplexAmplitude) -> GaussianState:
     """Single-mode coherent state with the given amplitude."""
-    return GaussianState(1, amp.as_mean(), 0.5 * np.eye(2))
+    mean = _real_array(amp.as_mean(), (2,), "mean vector")  # sqrt(2) amp can overflow
+    return GaussianState._trusted(1, mean, 0.5 * np.eye(2))
 
 
 def tensor(s1: GaussianState, s2: GaussianState) -> GaussianState:
@@ -146,16 +153,25 @@ def tensor(s1: GaussianState, s2: GaussianState) -> GaussianState:
     cov = np.zeros((2 * n, 2 * n))
     cov[: 2 * s1.modes, : 2 * s1.modes] = s1.cov
     cov[2 * s1.modes :, 2 * s1.modes :] = s2.cov
-    return GaussianState(n, mean, cov)
+    return GaussianState._trusted(n, mean, cov)
 
 
 def apply_symplectic(state: GaussianState, S: np.ndarray) -> GaussianState:
     """Evolve the state under a symplectic matrix: cov -> S cov S^T, mean -> S mean."""
-    dim = 2 * state.modes
-    S = _real_array(S, (dim, dim), "symplectic matrix")
-    omega = symplectic_form(state.modes)
+    return _evolve(state, _checked_symplectic(S, state.modes))
+
+
+def _checked_symplectic(S, n_modes: int) -> np.ndarray:
+    """S as a float array; InvalidInputError unless it preserves the form of n_modes."""
+    S = _real_array(S, (2 * n_modes, 2 * n_modes), "symplectic matrix")
+    omega = symplectic_form(n_modes)
     if np.abs(S @ omega @ S.T - omega).max() > _SYM_TOL:
         raise InvalidInputError("matrix does not preserve the symplectic form")
+    return S
+
+
+def _evolve(state: GaussianState, S: np.ndarray) -> GaussianState:
+    """:func:`apply_symplectic` for an S checked when built; S cov S^T rounds, so it is checked."""
     return GaussianState(state.modes, S @ state.mean, S @ state.cov @ S.T)
 
 
@@ -182,7 +198,7 @@ def beam_splitter_matrix(n_modes: int, i: int, j: int) -> np.ndarray:
 
 def beam_splitter_50_50(state: GaussianState, i: int, j: int) -> GaussianState:
     """Mix modes i and j on a balanced beam splitter."""
-    return apply_symplectic(state, beam_splitter_matrix(state.modes, i, j))
+    return _evolve(state, beam_splitter_matrix(state.modes, i, j))
 
 
 def displace(state: GaussianState, mode: int, amp: ComplexAmplitude) -> GaussianState:
@@ -190,7 +206,7 @@ def displace(state: GaussianState, mode: int, amp: ComplexAmplitude) -> Gaussian
     i = _check_mode(state, mode)
     mean = state.mean.copy()
     mean[2 * i : 2 * i + 2] += amp.as_mean()
-    return GaussianState(state.modes, mean, state.cov)
+    return GaussianState._trusted(state.modes, _real_array(mean, mean.shape, "mean vector"), state.cov)
 
 
 def partial_trace(state: GaussianState, keep) -> GaussianState:
@@ -203,7 +219,7 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
     for m in keep:
         _check_mode(state, m)
     idx = _mode_slices(keep)
-    return GaussianState(len(keep), state.mean[idx], state.cov[idx[:, None], idx])
+    return GaussianState._trusted(len(keep), state.mean[idx], state.cov[idx[:, None], idx])
 
 
 def physicality(cov) -> bool:

@@ -26,7 +26,9 @@ from .gaussian import (
     ComplexAmplitude,
     GaussianState,
     ZERO_AMPLITUDE,
-    apply_symplectic,
+    _checked_symplectic,
+    _evolve,
+    _real_array,
     beam_splitter_matrix,
     fidelity_vs_coherent,
     make_coherent,
@@ -151,7 +153,7 @@ def noncoop_symplectic(n_modes: int = 4) -> np.ndarray:
     for receiver in (_B, _C):
         gates.append(sum_gate_x(n_modes, _A, receiver, -_SQRT2))
         gates.append(sum_gate_p(n_modes, _IN, receiver, _SQRT2))
-    total = _compose(gates)
+    total = _checked_symplectic(_compose(gates), n_modes)
     total.flags.writeable = False
     return total
 
@@ -167,21 +169,14 @@ def coop_symplectic(params: ChannelParams) -> np.ndarray:
     gain = _correction_gain(params) * _SQRT2
     # heterodyne result (quadrature units) is sqrt(2) * (x of Charlie's port,
     # p of ancilla port); Bob displaces by the coefficient times (mu - eta)
-    return _compose([
+    return _checked_symplectic(_compose([
         noncoop_symplectic(5),
         beam_splitter_matrix(5, _C, _ANC),
         sum_gate_x(5, _C, _B, gain),
         sum_gate_p(5, _ANC, _B, gain),
         sum_gate_x(5, _A, _B, gain),
         sum_gate_p(5, _IN, _B, -gain),
-    ])
-
-
-def _joint_state(alpha: float, input_amp: ComplexAmplitude, with_ancilla: bool) -> GaussianState:
-    st = tensor(make_coherent(input_amp), build_cm(channel_params(alpha)))
-    if with_ancilla:
-        st = tensor(st, vacuum(1))
-    return st
+    ]), 5)
 
 
 # --- pipelines ---------------------------------------------------------------
@@ -196,7 +191,8 @@ def run_noncoop_pipeline(
     receivers' outputs, so it is not read (see the module docstring for why it
     stays).
     """
-    st = apply_symplectic(_joint_state(alpha, input_amp, False), noncoop_symplectic(4))
+    joint = tensor(make_coherent(input_amp), build_cm(channel_params(alpha)))
+    st = _evolve(joint, noncoop_symplectic(4))
     bob = partial_trace(st, [_B])
     charlie = partial_trace(st, [_C])
     return StrategyOutcome(
@@ -223,10 +219,13 @@ def run_coop_pipeline(
     Charlie's state is the mixture of coherent states over it: the law's
     covariance raised by I/2.
     """
-    st = apply_symplectic(_joint_state(alpha, input_amp, True), coop_symplectic(channel_params(alpha)))
+    coherent, params = make_coherent(input_amp), channel_params(alpha)
+    joint = tensor(tensor(coherent, build_cm(params)), vacuum(1))
+    st = _evolve(joint, coop_symplectic(params))
     bob = partial_trace(st, [_B])
-    charlie = GaussianState(
-        1, _SQRT2 * st.mean[_HET], 2.0 * st.cov[_HET[:, None], _HET] + 0.5 * np.eye(2)
+    charlie = GaussianState._trusted(
+        1, _real_array(_SQRT2 * st.mean[_HET], (2,), "mean vector"),
+        2.0 * st.cov[_HET[:, None], _HET] + 0.5 * np.eye(2),
     )
     return StrategyOutcome(
         fidelity_bob=fidelity_vs_coherent(bob, input_amp),
