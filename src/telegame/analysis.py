@@ -53,9 +53,10 @@ def _bisect(fn, lo: float, hi: float, tol: float) -> tuple[float, int, float, fl
 
     Stops at the first midpoint with |fn(mid)| <= tol whose bracket is at
     most _MAX_BRACKET wide; root lies within width / 2 of a zero of fn.
-    fn is evaluated iterations + 2 times. InvalidInputError unless tol > 0;
-    BracketError if adjacent floats or the iteration cap come first.
+    fn is evaluated iterations + 2 times. InvalidInputError unless tol is a
+    finite real > 0; BracketError if adjacent floats or the iteration cap come first.
     """
+    tol = require_real("tol", tol)
     if not tol > 0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
     f_lo = fn(lo)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
+from .errors import DomainError, InvalidInputError, is_real
 from .gaussian import GaussianState, _real_array
 
 _SWAP_TOL = 1e-12
@@ -34,8 +34,15 @@ class ChannelParams:
 
 
 def _checked_alpha(alpha: float) -> float:
-    """alpha as a float in [1/2, _ALPHA_MAX]; DomainError naming the edge otherwise."""
-    alpha = float(alpha)
+    """alpha as a float in [1/2, _ALPHA_MAX]; InvalidInputError unless it is a
+    real number, DomainError naming the edge otherwise."""
+    if type(alpha) is not float:  # the closed forms' float path skips the type test
+        if not is_real(alpha):
+            raise InvalidInputError(f"alpha must be a real number, got {alpha!r}")
+        try:
+            alpha = float(alpha)
+        except OverflowError:  # an int or Fraction beyond the float range
+            alpha = math.inf if alpha > 0 else -math.inf
     if 0.5 <= alpha <= _ALPHA_MAX:
         return alpha
     if not math.isfinite(alpha):
@@ -71,7 +78,8 @@ def build_cm(params: ChannelParams) -> GaussianState:
     """Zero-mean 3-mode channel state (modes: sender a, receivers b and c).
 
     Covariance blocks: (a,a) = alpha I, (b,b) = (c,c) = beta I,
-    (a,b) = (a,c) = delta Z, (b,c) = gamma I with Z = diag(1, -1).
+    (a,b) = (a,c) = delta Z, (b,c) = gamma I with Z = diag(1, -1). Symmetric
+    by construction; only its finiteness is checked, for hand-built params.
     """
     I2 = np.eye(2)
     cov = np.zeros((6, 6))

@@ -29,13 +29,17 @@ def require_int(name: str, value, lo: int, hi: float = math.inf) -> None:
         raise InvalidInputError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
 
 
+def is_real(value) -> bool:
+    """True for a real number that is not a bool; numpy reals count."""
+    # A float skips the numbers.Real test, which costs about 0.4 us a call.
+    return isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
 def require_real(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> float:
     """`value` as a float; InvalidInputError unless it is a real number, not a
     bool, whose float is finite and in [lo, hi]."""
-    # A float skips the numbers.Real test, which costs about 0.4 us a call.
-    real = isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
     try:
-        x = float(value) if real else math.nan
+        x = float(value) if is_real(value) else math.nan
     except OverflowError:  # an int or Fraction beyond the float range
         x = math.nan
     if not (math.isfinite(x) and lo <= x <= hi):

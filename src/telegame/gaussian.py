@@ -10,6 +10,16 @@ Conventions used throughout the package:
 
 All states are immutable values and every operation is a pure function, so
 everything here is safe to share between threads.
+
+Validation happens once, at the public boundary. ``GaussianState(...)``
+checks what it is given: an integer mode count, real finite arrays of the
+right shapes, and a covariance at most 1e-9 from symmetric, which it then
+symmetrizes. A state the toolbox builds from valid states is trusted where
+the arithmetic is exact (vacuum, coherent states, tensor products,
+displacements, partial traces, the channel state): its arrays are frozen,
+and only what can overflow, a scaled or shifted mean, is tested for finite
+entries. Results that round, S cov S^T and the conditioning updates, pass
+the public constructor's checks.
 """
 
 from __future__ import annotations
@@ -74,10 +84,17 @@ class ComplexAmplitude:
 ZERO_AMPLITUDE = ComplexAmplitude(0.0, 0.0)
 
 
+def _array(values, name: str) -> np.ndarray:
+    try:
+        return np.asarray(values)
+    except ValueError:  # numpy refuses ragged nesting
+        raise InvalidInputError(f"{name} must be a rectangular array, not ragged") from None
+
+
 def _real_array(values, shape: tuple, name: str) -> np.ndarray:
     """`values` as a float array of exactly `shape` with finite entries; complex,
     string, object and bool dtypes are refused before any float cast."""
-    arr = np.asarray(values)
+    arr = _array(values, name)
     if arr.dtype.kind not in "iuf":
         raise InvalidInputError(f"{name} must be real, got dtype {arr.dtype}")
     if arr.shape != shape:
@@ -211,20 +228,24 @@ def displace(state: GaussianState, mode: int, amp: ComplexAmplitude) -> Gaussian
 
 def partial_trace(state: GaussianState, keep) -> GaussianState:
     """Reduced state on the listed modes, in the order given."""
-    keep = list(keep)
+    try:
+        keep = list(keep)
+    except TypeError:
+        raise InvalidInputError(f"keep must be a sequence of mode indices, got {keep!r}") from None
     if not keep:
         raise InvalidInputError("keep list must be non-empty")
-    if len(set(keep)) != len(keep):
-        raise InvalidInputError(f"keep list has repeated modes: {keep}")
     for m in keep:
         _check_mode(state, m)
+    if len(set(keep)) != len(keep):
+        raise InvalidInputError(f"keep list has repeated modes: {keep}")
     idx = _mode_slices(keep)
     return GaussianState._trusted(len(keep), state.mean[idx], state.cov[idx[:, None], idx])
 
 
 def physicality(cov) -> bool:
     """Uncertainty-principle test: cov - (i/2) Omega must be positive semidefinite."""
-    n = max(np.shape(cov)[:1] + (2,)) // 2  # read as a state's cov; n >= 1 names a wrong shape
+    cov = _array(cov, "covariance")
+    n = max(cov.shape[:1] + (2,)) // 2  # read as a state's cov; n >= 1 names a wrong shape
     cov = GaussianState(n, np.zeros(2 * n), cov).cov
     dim = cov.shape[0]
     herm = cov - 0.5j * symplectic_form(n)

@@ -32,7 +32,9 @@ class TestChannelParams:
         p = channel_params(0.5)
         assert (p.beta, p.gamma, p.delta) == (0.75, 0.25, 0.0)
 
-    @pytest.mark.parametrize("alpha", [0.4, 0.0, -3.0, float("nan")])
+    @pytest.mark.parametrize("alpha", [0.4, 0.0, -3.0, float("nan"), pytest.param(0, id="int-0"),
+                                       pytest.param(np.float64("nan"), id="numpy-nan"),
+                                       pytest.param(10**400, id="int-1e400"), pytest.param(-10**400, id="int--1e400")])
     def test_domain_rejected(self, alpha):
         with pytest.raises(DomainError):
             channel_params(alpha)

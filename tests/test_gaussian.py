@@ -9,16 +9,23 @@ from telegame import (
     ComplexAmplitude,
     GaussianState,
     InvalidInputError,
+    McConfig,
+    ZERO_AMPLITUDE,
     apply_symplectic,
     beam_splitter_50_50,
     displace,
+    estimate_fidelities,
+    f_ab_coop,
     fidelity_vs_coherent,
+    find_threshold,
     heterodyne_outcome_distribution,
     heterodyne_update,
     homodyne_update,
+    kappa,
     make_coherent,
     partial_trace,
     physicality,
+    run_coop_pipeline,
     symplectic_form,
     tensor,
     vacuum,
@@ -112,8 +119,10 @@ def _symplectic_form_after_cache_fill(n_modes):
     return symplectic_form(n_modes)
 
 
-# Each input is refused by one of the three rules: the real-array check
-# (arrays), require_real (real scalars) or require_int (mode counts).
+# Each input is refused at the package's boundary by one of its rules: the
+# real-array check (arrays), require_real (real scalars), require_int (mode
+# counts), or the real-number test of alpha, which keeps DomainError for
+# real values outside the channel's domain.
 INVALID_INPUTS = {
     "symplectic-complex": (lambda: apply_symplectic(vacuum(1), [[1, 0.5j], [0, 1]]), "symplectic matrix must be real"),
     "symplectic-nan": (lambda: apply_symplectic(vacuum(1), [[math.nan, 0], [0, 1]]), "symplectic matrix contains non-finite"),
@@ -130,6 +139,21 @@ INVALID_INPUTS = {
     "vacuum-fractional": (lambda: vacuum(1.5), "n_modes"),
     "beam-splitter-fractional-modes": (lambda: beam_splitter_matrix(1.5, 0, 1), "n_modes"),
     "physicality-non-numeric": (lambda: physicality([["a", "b"], ["c", "d"]]), "covariance must be real"),
+    "state-ragged-mean": (lambda: GaussianState(1, [0, [1, 2]], 0.5 * np.eye(2)), "mean vector must be a rectangular"),
+    "physicality-ragged": (lambda: physicality([[1, 0], [0]]), "covariance must be a rectangular"),
+    "partial-trace-int-keep": (lambda: partial_trace(vacuum(2), 5), "keep"),
+    "partial-trace-unhashable-keep": (lambda: partial_trace(vacuum(2), [[0]]), "mode index"),
+    "threshold-string-tol": (lambda: find_threshold("a"), "tol"),
+    "threshold-bool-tol": (lambda: find_threshold(True), "tol"),
+    "alpha-numeric-string": (lambda: kappa("2.0"), "alpha must be a real number"),
+    "alpha-bool": (lambda: kappa(True), "alpha must be a real number"),
+    "alpha-string-closed-form": (lambda: f_ab_coop("2"), "alpha must be a real number"),
+    "alpha-string-pipeline": (
+        lambda: run_coop_pipeline("2", ZERO_AMPLITUDE, ZERO_AMPLITUDE, ZERO_AMPLITUDE), "alpha must be a real number"
+    ),
+    "alpha-none-estimator": (
+        lambda: estimate_fidelities(McConfig(shots=10, seed=1, alpha=None)), "alpha must be a real number"
+    ),
 }
 
 
