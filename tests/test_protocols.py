@@ -278,8 +278,9 @@ class TestMeasurerAverage:
 _ASYM = "covariance asymmetry {} exceeds tolerance 1e-09"
 # Outcome of each pipeline at large alpha, input 0.7 - 0.1i: None where it
 # returns, else the error's message. Rounding in S cov S^T breaks the
-# absolute asymmetry bound at some alphas and not at others, and the
-# cooperative f_ab drifts past 1e-10 where it returns (CHANGES.md, FOUND).
+# absolute asymmetry bound at some alphas and not at others; where the
+# cooperative pipeline returns from 2e6 on, its f_ab is up to 8.5e-10 off
+# the closed form. A change to this edge updates the table on purpose.
 LARGE_ALPHA_OUTCOMES = {
     1e5: (None, None),
     1e6: (None, None),
