@@ -20,8 +20,6 @@ _SWAP_TOL = 1e-12
 # Largest alpha served: the last one at which 2 alpha - 1 is finite.
 _ALPHA_MAX = sys.float_info.max / 2.0
 
-Z2 = np.diag([1.0, -1.0])
-
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -78,20 +76,15 @@ def build_cm(params: ChannelParams) -> GaussianState:
     """Zero-mean 3-mode channel state (modes: sender a, receivers b and c).
 
     Covariance blocks: (a,a) = alpha I, (b,b) = (c,c) = beta I,
-    (a,b) = (a,c) = delta Z, (b,c) = gamma I with Z = diag(1, -1). Symmetric
-    by construction; only its finiteness is checked, for hand-built params.
+    (a,b) = (a,c) = delta Z, (b,c) = gamma I with Z = diag(1, -1): in the x
+    quadratures and the p quadratures, each a 3x3 block, delta only changes
+    sign. Symmetric by construction; only its finiteness is checked, for
+    hand-built params.
     """
-    I2 = np.eye(2)
+    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
     cov = np.zeros((6, 6))
-    cov[0:2, 0:2] = params.alpha * I2
-    cov[2:4, 2:4] = params.beta * I2
-    cov[4:6, 4:6] = params.beta * I2
-    cov[0:2, 2:4] = params.delta * Z2
-    cov[2:4, 0:2] = params.delta * Z2
-    cov[0:2, 4:6] = params.delta * Z2
-    cov[4:6, 0:2] = params.delta * Z2
-    cov[2:4, 4:6] = params.gamma * I2
-    cov[4:6, 2:4] = params.gamma * I2
+    cov[0::2, 0::2] = [[a, d, d], [d, b, g], [d, g, b]]
+    cov[1::2, 1::2] = [[a, -d, -d], [-d, b, g], [-d, g, b]]
     return GaussianState._trusted(3, np.zeros(6), _real_array(cov, (6, 6), "covariance"))
 
 

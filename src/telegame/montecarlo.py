@@ -28,6 +28,7 @@ import numpy as np
 from .channel import ChannelParams, build_cm, channel_params
 from .errors import require_int, require_real
 from .gaussian import (
+    _SQRT2,
     ComplexAmplitude,
     GaussianState,
     ZERO_AMPLITUDE,
@@ -41,7 +42,6 @@ from .gaussian import (
 )
 from .protocols import modified_shift
 
-_SQRT2 = math.sqrt(2.0)
 _CHUNK = 4096  # reduction granularity; fixed so thread count cannot reorder sums
 # Nothing guarantees that the probed unit input gain is exactly 1; one rounding
 # (1.1e-16), scaled by sqrt(2) std, is at most 1.6e-6 per unit normal up to here.

@@ -15,7 +15,6 @@ made together with those harness lines.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +22,7 @@ import numpy as np
 
 from .channel import ChannelParams, _checked_alpha, build_cm, channel_params, kappa
 from .gaussian import (
+    _SQRT2,
     ComplexAmplitude,
     GaussianState,
     ZERO_AMPLITUDE,
@@ -37,13 +37,14 @@ from .gaussian import (
     vacuum,
 )
 
-_SQRT2 = math.sqrt(2.0)
-
-# Mode layout of the pipelines: 0 = input, 1 = sender's channel mode,
-# 2 = receiver b, 3 = receiver c, 4 = heterodyne ancilla (cooperative only).
+# Mode layout of both pipelines: 0 = input, 1 = sender's channel mode,
+# 2 = receiver b, 3 = receiver c, 4 = heterodyne ancilla (idle in the
+# non-cooperative circuit).
 _IN, _A, _B, _C, _ANC = 0, 1, 2, 3, 4
+_MODES = 5
+_X, _P = 0, 1  # quadrature offsets within a mode
 # Charlie's heterodyne reads x of Charlie's port and p of the ancilla's port
-_HET = np.array([2 * _C, 2 * _ANC + 1])
+_HET = np.array([2 * _C + _X, 2 * _ANC + _P])
 
 
 @dataclass(frozen=True)
@@ -115,19 +116,13 @@ def _correction_gain(params: ChannelParams) -> float:
 # --- ensemble feedforward gates ---------------------------------------------
 
 
-def sum_gate_x(n_modes: int, control: int, target: int, gain: float) -> np.ndarray:
-    """QND coupling x_target += gain * x_control (with p back-action on control)."""
-    S = np.eye(2 * n_modes)
-    S[2 * target, 2 * control] = gain
-    S[2 * control + 1, 2 * target + 1] = -gain
-    return S
-
-
-def sum_gate_p(n_modes: int, control: int, target: int, gain: float) -> np.ndarray:
-    """QND coupling p_target += gain * p_control (with x back-action on control)."""
-    S = np.eye(2 * n_modes)
-    S[2 * target + 1, 2 * control + 1] = gain
-    S[2 * control, 2 * target] = -gain
+def sum_gate(control: int, target: int, gain: float, q: int) -> np.ndarray:
+    """QND coupling on [in, a, b, c, anc]: quadrature q (_X or _P) of the
+    target gains gain times that of the control, and the other quadrature of
+    the control takes the back-action -gain times the target's."""
+    S = np.eye(2 * _MODES)
+    S[2 * target + q, 2 * control + q] = gain
+    S[2 * control + 1 - q, 2 * target + 1 - q] = -gain
     return S
 
 
@@ -138,30 +133,34 @@ def _compose(gates) -> np.ndarray:
     return total
 
 
-@functools.lru_cache(maxsize=8)
-def noncoop_symplectic(n_modes: int = 4) -> np.ndarray:
-    """Total symplectic of the non-cooperative protocol on [in, a, b, c, ...].
+# The non-cooperative circuit does not depend on alpha: built once, read-only.
+_NONCOOP_SYMPLECTIC = _checked_symplectic(_compose([
+    beam_splitter_matrix(_MODES, _A, _IN),
+    sum_gate(_A, _B, -_SQRT2, _X),
+    sum_gate(_IN, _B, _SQRT2, _P),
+    sum_gate(_A, _C, -_SQRT2, _X),
+    sum_gate(_IN, _C, _SQRT2, _P),
+]), _MODES)
+_NONCOOP_SYMPLECTIC.flags.writeable = False
+
+
+def noncoop_symplectic() -> np.ndarray:
+    """Total symplectic of the non-cooperative protocol on [in, a, b, c, anc].
 
     Balanced beam splitter on (a, in), then unit-gain feedforward of the two
-    Bell quadratures onto both receivers. After the beam splitter mode `a`
-    carries (x_a - x_in)/sqrt(2) and mode `in` carries (p_a + p_in)/sqrt(2);
-    announcing eta = -X_minus + i P_plus and displacing by it equals these
-    sum gates at the ensemble level. The matrix does not depend on alpha, so
-    it is built once per size; the returned array is shared and read-only.
+    Bell quadratures onto both receivers; the ancilla stays idle. After the
+    beam splitter mode `a` carries (x_a - x_in)/sqrt(2) and mode `in` carries
+    (p_a + p_in)/sqrt(2); announcing eta = -X_minus + i P_plus and displacing
+    by it equals these sum gates at the ensemble level. The returned array is
+    shared and read-only.
     """
-    gates = [beam_splitter_matrix(n_modes, _A, _IN)]
-    for receiver in (_B, _C):
-        gates.append(sum_gate_x(n_modes, _A, receiver, -_SQRT2))
-        gates.append(sum_gate_p(n_modes, _IN, receiver, _SQRT2))
-    total = _checked_symplectic(_compose(gates), n_modes)
-    total.flags.writeable = False
-    return total
+    return _NONCOOP_SYMPLECTIC
 
 
 def coop_symplectic(params: ChannelParams) -> np.ndarray:
     """Total symplectic of the cooperative protocol on [in, a, b, c, anc].
 
-    Continues the non-cooperative circuit: Charlie's mode is split with a
+    Continues the non-cooperative circuit: Charlie's mode is split with the
     vacuum ancilla (the heterodyne), and the outcome pair is fed forward to
     Bob with the modified-shift coefficient. The -eta part of the correction
     is an equal feedforward from the Bell ports with opposite sign.
@@ -170,16 +169,33 @@ def coop_symplectic(params: ChannelParams) -> np.ndarray:
     # heterodyne result (quadrature units) is sqrt(2) * (x of Charlie's port,
     # p of ancilla port); Bob displaces by the coefficient times (mu - eta)
     return _checked_symplectic(_compose([
-        noncoop_symplectic(5),
-        beam_splitter_matrix(5, _C, _ANC),
-        sum_gate_x(5, _C, _B, gain),
-        sum_gate_p(5, _ANC, _B, gain),
-        sum_gate_x(5, _A, _B, gain),
-        sum_gate_p(5, _IN, _B, -gain),
-    ]), 5)
+        noncoop_symplectic(),
+        beam_splitter_matrix(_MODES, _C, _ANC),
+        sum_gate(_C, _B, gain, _X),
+        sum_gate(_ANC, _B, gain, _P),
+        sum_gate(_A, _B, gain, _X),
+        sum_gate(_IN, _B, -gain, _P),
+    ]), _MODES)
 
 
 # --- pipelines ---------------------------------------------------------------
+
+
+def _joint_state(alpha: float, input_amp: ComplexAmplitude) -> tuple[GaussianState, ChannelParams]:
+    """Coherent input, channel and vacuum ancilla on [in, a, b, c, anc], with
+    the channel's coefficients."""
+    coherent, params = make_coherent(input_amp), channel_params(alpha)
+    return tensor(tensor(coherent, build_cm(params)), vacuum(1)), params
+
+
+def _outcome(st: GaussianState, charlie: GaussianState, input_amp: ComplexAmplitude) -> StrategyOutcome:
+    """Bob's readout of the circuit's output `st`, next to Charlie's state."""
+    bob = partial_trace(st, [_B])
+    return StrategyOutcome(
+        fidelity_bob=fidelity_vs_coherent(bob, input_amp),
+        fidelity_charlie=fidelity_vs_coherent(charlie, input_amp),
+        mean_residual_bob=bob.mean - input_amp.as_mean(),
+    )
 
 
 def run_noncoop_pipeline(
@@ -191,15 +207,9 @@ def run_noncoop_pipeline(
     receivers' outputs, so it is not read (see the module docstring for why it
     stays).
     """
-    joint = tensor(make_coherent(input_amp), build_cm(channel_params(alpha)))
-    st = _evolve(joint, noncoop_symplectic(4))
-    bob = partial_trace(st, [_B])
-    charlie = partial_trace(st, [_C])
-    return StrategyOutcome(
-        fidelity_bob=fidelity_vs_coherent(bob, input_amp),
-        fidelity_charlie=fidelity_vs_coherent(charlie, input_amp),
-        mean_residual_bob=bob.mean - input_amp.as_mean(),
-    )
+    joint, _ = _joint_state(alpha, input_amp)
+    st = _evolve(joint, noncoop_symplectic())
+    return _outcome(st, partial_trace(st, [_C]), input_amp)
 
 
 def run_coop_pipeline(
@@ -219,17 +229,10 @@ def run_coop_pipeline(
     Charlie's state is the mixture of coherent states over it: the law's
     covariance raised by I/2.
     """
-    coherent, params = make_coherent(input_amp), channel_params(alpha)
-    joint = tensor(tensor(coherent, build_cm(params)), vacuum(1))
+    joint, params = _joint_state(alpha, input_amp)
     st = _evolve(joint, coop_symplectic(params))
-    bob = partial_trace(st, [_B])
     charlie = GaussianState._trusted(
         1, _real_array(_SQRT2 * st.mean[_HET], (2,), "mean vector"),
         2.0 * st.cov[_HET[:, None], _HET] + 0.5 * np.eye(2),
     )
-    return StrategyOutcome(
-        fidelity_bob=fidelity_vs_coherent(bob, input_amp),
-        fidelity_charlie=fidelity_vs_coherent(charlie, input_amp),
-        mean_residual_bob=bob.mean - input_amp.as_mean(),
-    )
-
+    return _outcome(st, charlie, input_amp)

@@ -23,7 +23,7 @@ from telegame import (
     symplectic_form,
 )
 from telegame.gaussian import beam_splitter_matrix
-from telegame.protocols import _ANC, _C, coop_symplectic, noncoop_symplectic, sum_gate_p, sum_gate_x
+from telegame.protocols import _ANC, _C, _MODES, _P, _X, coop_symplectic, noncoop_symplectic, sum_gate
 
 from conftest import random_amplitude
 from oracles import reduced_channel, two_mode_teleport_fidelity
@@ -149,23 +149,34 @@ class TestModifiedShift:
 
 class TestFeedforwardGates:
     def test_sum_gates_are_symplectic(self):
-        omega = symplectic_form(4)
-        for S in (sum_gate_x(4, 1, 2, -1.7), sum_gate_p(4, 0, 3, 0.9)):
+        omega = symplectic_form(_MODES)
+        for S in (sum_gate(1, 2, -1.7, _X), sum_gate(0, 3, 0.9, _P)):
             assert np.abs(S @ omega @ S.T - omega).max() < 1e-12
 
+    @pytest.mark.parametrize("q, gain_at, back_action_at", [(_X, (4, 2), (3, 5)), (_P, (5, 3), (2, 4))])
+    def test_sum_gate_entries(self, q, gain_at, back_action_at):
+        # control mode 1, target mode 2: q_target += gain q_control, and the
+        # control's other quadrature takes -gain times the target's
+        expected = np.eye(2 * _MODES)
+        expected[gain_at], expected[back_action_at] = 0.9, -0.9
+        np.testing.assert_array_equal(sum_gate(1, 2, 0.9, q), expected)
+
     def test_noncoop_symplectic_is_shared_and_read_only(self):
-        S = noncoop_symplectic(4)
+        S = noncoop_symplectic()
         with pytest.raises(ValueError):
             S[0, 0] = 9.0
-        np.testing.assert_array_equal(noncoop_symplectic(4), S)
+        assert noncoop_symplectic() is S
+
+    def test_noncoop_symplectic_leaves_ancilla_idle(self):
+        S = noncoop_symplectic()
+        anc = [2 * _ANC, 2 * _ANC + 1]
+        np.testing.assert_array_equal(S[anc], np.eye(2 * _MODES)[anc])
+        np.testing.assert_array_equal(S[:, anc], np.eye(2 * _MODES)[:, anc])
 
     def test_protocol_symplectics(self):
-        omega4 = symplectic_form(4)
-        S = noncoop_symplectic(4)
-        assert np.abs(S @ omega4 @ S.T - omega4).max() < 1e-12
-        omega5 = symplectic_form(5)
-        S = coop_symplectic(channel_params(2.0))
-        assert np.abs(S @ omega5 @ S.T - omega5).max() < 1e-12
+        omega = symplectic_form(_MODES)
+        for S in (noncoop_symplectic(), coop_symplectic(channel_params(2.0))):
+            assert np.abs(S @ omega @ S.T - omega).max() < 1e-12
 
 
 class TestNoncoopPipeline:
@@ -208,7 +219,7 @@ class TestCoopPipeline:
     def test_feedforward_leaves_heterodyne_ports_alone(self, alpha):
         """Charlie's fidelity is read from x of Charlie's port and p of the
         ancilla's port, so the feedforward to Bob must not touch those rows."""
-        before = beam_splitter_matrix(5, _C, _ANC) @ noncoop_symplectic(5)
+        before = beam_splitter_matrix(_MODES, _C, _ANC) @ noncoop_symplectic()
         rows = [2 * _C, 2 * _ANC + 1]
         np.testing.assert_array_equal(coop_symplectic(channel_params(alpha))[rows], before[rows])
 
