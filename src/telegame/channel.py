@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, is_real
-from .gaussian import GaussianState, _real_array
+from .errors import DomainError, InvalidInputError, is_real, require_real
+from .gaussian import GaussianState
 
 _SWAP_TOL = 1e-12
 # Largest alpha served: the last one at which 2 alpha - 1 is finite.
@@ -23,12 +23,20 @@ _ALPHA_MAX = sys.float_info.max / 2.0
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Coefficient tuple (alpha, beta, gamma, delta) of the channel family."""
+    """Coefficient tuple (alpha, beta, gamma, delta) of the channel family.
+
+    Each field must be a finite real number (not bool) and is stored as a
+    float; only :func:`channel_params` ties them to one another.
+    """
 
     alpha: float
     beta: float
     gamma: float
     delta: float
+
+    def __post_init__(self):
+        for name in ("alpha", "beta", "gamma", "delta"):
+            object.__setattr__(self, name, require_real(f"ChannelParams.{name}", getattr(self, name)))
 
 
 def _checked_alpha(alpha: float) -> float:
@@ -78,14 +86,13 @@ def build_cm(params: ChannelParams) -> GaussianState:
     Covariance blocks: (a,a) = alpha I, (b,b) = (c,c) = beta I,
     (a,b) = (a,c) = delta Z, (b,c) = gamma I with Z = diag(1, -1): in the x
     quadratures and the p quadratures, each a 3x3 block, delta only changes
-    sign. Symmetric by construction; only its finiteness is checked, for
-    hand-built params.
+    sign. Symmetric by construction, and finite since every field is.
     """
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
     cov = np.zeros((6, 6))
     cov[0::2, 0::2] = [[a, d, d], [d, b, g], [d, g, b]]
     cov[1::2, 1::2] = [[a, -d, -d], [-d, b, g], [-d, g, b]]
-    return GaussianState._trusted(3, np.zeros(6), _real_array(cov, (6, 6), "covariance"))
+    return GaussianState._trusted(3, np.zeros(6), cov)
 
 
 def exchange_symmetry_check(state: GaussianState) -> bool:

@@ -84,6 +84,13 @@ class ComplexAmplitude:
 ZERO_AMPLITUDE = ComplexAmplitude(0.0, 0.0)
 
 
+def _amplitude(amp, name: str = "amplitude") -> ComplexAmplitude:
+    """`amp` itself; InvalidInputError unless it is a ComplexAmplitude."""
+    if not isinstance(amp, ComplexAmplitude):
+        raise InvalidInputError(f"{name} must be a ComplexAmplitude, got {amp!r}")
+    return amp
+
+
 def _array(values, name: str) -> np.ndarray:
     try:
         return np.asarray(values)
@@ -120,7 +127,7 @@ class GaussianState:
         asym = np.abs(cov - cov.T).max()
         if asym > _SYM_TOL:
             raise InvalidInputError(f"covariance asymmetry {asym:.3e} exceeds tolerance {_SYM_TOL:.0e}")
-        cov = (cov + cov.T) / 2.0
+        cov = 0.5 * cov + 0.5 * cov.T  # halving first: no overflow above float max / 2
         mean.flags.writeable = cov.flags.writeable = False
         self.__dict__.update(mean=mean, cov=cov)
 
@@ -159,7 +166,7 @@ def vacuum(n_modes: int = 1) -> GaussianState:
 
 def make_coherent(amp: ComplexAmplitude) -> GaussianState:
     """Single-mode coherent state with the given amplitude."""
-    mean = _real_array(amp.as_mean(), (2,), "mean vector")  # sqrt(2) amp can overflow
+    mean = _real_array(_amplitude(amp).as_mean(), (2,), "mean vector")  # sqrt(2) amp can overflow
     return GaussianState._trusted(1, mean, 0.5 * np.eye(2))
 
 
@@ -222,7 +229,7 @@ def displace(state: GaussianState, mode: int, amp: ComplexAmplitude) -> Gaussian
     """Shift the mean of one mode by sqrt(2)*(re, im); covariance unchanged."""
     i = _check_mode(state, mode)
     mean = state.mean.copy()
-    mean[2 * i : 2 * i + 2] += amp.as_mean()
+    mean[2 * i : 2 * i + 2] += _amplitude(amp).as_mean()
     return GaussianState._trusted(state.modes, _real_array(mean, mean.shape, "mean vector"), state.cov)
 
 
@@ -303,7 +310,7 @@ def heterodyne_update(
             "heterodyne on a single-mode state leaves no conditional state; "
             "use heterodyne_outcome_distribution"
         )
-    x, p = outcome.as_mean()
+    x, p = _amplitude(outcome, "heterodyne outcome").as_mean()
     return _condition(state, mode, [("x", 0.5, x), ("p", 0.5, p)])
 
 
@@ -329,6 +336,7 @@ def fidelity_vs_coherent(state: GaussianState, amp: ComplexAmplitude) -> float:
     bound, sigma[0, 0] > 0 and det(sigma) >= 1/4, up to the slack of
     :func:`physicality` times the trace.
     """
+    _amplitude(amp)
     if state.modes != 1:
         raise InvalidInputError(f"fidelity_vs_coherent needs a single-mode state, got {state.modes}")
     a, b, c, d = state.cov.ravel().tolist()

@@ -26,6 +26,7 @@ from .gaussian import (
     ComplexAmplitude,
     GaussianState,
     ZERO_AMPLITUDE,
+    _amplitude,
     _checked_symplectic,
     _evolve,
     _real_array,
@@ -96,6 +97,7 @@ def modified_shift(
     cancels the drift the measuring receiver's operations leave on the
     correlated mode.
     """
+    eta, mu = _amplitude(eta, "eta"), _amplitude(mu, "mu")
     coeff = (params.delta - params.gamma) / (params.beta + 0.5)
     return ComplexAmplitude(
         eta.re + coeff * (mu.re - eta.re),

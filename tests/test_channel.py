@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from telegame import (
+    ChannelParams,
     DomainError,
     GaussianState,
     InvalidInputError,
@@ -43,6 +45,21 @@ class TestChannelParams:
     def test_non_finite_names_the_reason(self, alpha):
         with pytest.raises(DomainError, match="finite"):
             channel_params(alpha)
+
+
+class TestHandBuiltParams:
+    FIELDS = {"alpha": 2.0, "beta": 1.5, "gamma": 1.0, "delta": 1.5}
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("value", ["a", True, math.inf, math.nan], ids=["str", "bool", "inf", "nan"])
+    def test_field_must_be_finite_real(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"ChannelParams.{field} must be a finite real"):
+            ChannelParams(**{**self.FIELDS, field: value})
+
+    def test_fields_stored_as_floats(self):
+        p = ChannelParams(2, np.float32(1.5), Fraction(1), np.int64(1))
+        assert (p.alpha, p.beta, p.gamma, p.delta) == (2.0, 1.5, 1.0, 1.0)
+        assert all(type(v) is float for v in dataclasses.astuple(p))
 
 
 class TestKappa:

@@ -21,11 +21,14 @@ from telegame import (
     heterodyne_outcome_distribution,
     heterodyne_update,
     homodyne_update,
+    channel_params,
     kappa,
     make_coherent,
+    modified_shift,
     partial_trace,
     physicality,
     run_coop_pipeline,
+    run_noncoop_pipeline,
     symplectic_form,
     tensor,
     vacuum,
@@ -113,6 +116,14 @@ class TestGaussianStateValidation:
         assert st.cov.dtype == float and st.mean.dtype == float
         np.testing.assert_array_equal(st.cov, 100.0 * np.eye(2))
 
+    def test_symmetrizing_keeps_entries_above_half_float_max(self):
+        """Halving before adding: cov + cov.T would overflow to inf."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = GaussianState(1, np.zeros(2), 1e308 * np.eye(2))
+            assert physicality(st.cov)
+        np.testing.assert_array_equal(st.cov, 1e308 * np.eye(2))
+
 
 def _symplectic_form_after_cache_fill(n_modes):
     symplectic_form(1)
@@ -132,6 +143,14 @@ INVALID_INPUTS = {
     "amplitude-string": (lambda: ComplexAmplitude("a", 0), "amplitude"),
     "amplitude-complex": (lambda: ComplexAmplitude(1j, 0), "amplitude"),
     "amplitude-beyond-float-range": (lambda: ComplexAmplitude(0, 10**400), "amplitude"),
+    "make-coherent-tuple": (lambda: make_coherent((0.7, -0.1)), "amplitude must be a ComplexAmplitude"),
+    "displace-none": (lambda: displace(vacuum(1), 0, None), "amplitude must be a ComplexAmplitude"),
+    "heterodyne-tuple-outcome": (lambda: heterodyne_update(vacuum(2), 0, (0.0, 0.0)), "heterodyne outcome"),
+    "fidelity-none-amplitude": (lambda: fidelity_vs_coherent(vacuum(1), None), "amplitude must be a ComplexAmplitude"),
+    "modified-shift-tuple-eta": (lambda: modified_shift((0, 0), ZERO, channel_params(2.0)), "eta"),
+    "modified-shift-none-mu": (lambda: modified_shift(ZERO, None, channel_params(2.0)), "mu"),
+    "noncoop-pipeline-tuple-input": (lambda: run_noncoop_pipeline(2.0, (0.7, -0.1), ZERO), "amplitude"),
+    "coop-pipeline-none-input": (lambda: run_coop_pipeline(2.0, None, ZERO, ZERO), "amplitude"),
     "homodyne-string-outcome": (lambda: homodyne_update(vacuum(2), 0, "x", "a"), "homodyne outcome"),
     "symplectic-form-fractional": (lambda: symplectic_form(1.5), "n_modes"),
     "symplectic-form-negative": (lambda: symplectic_form(-1), "n_modes"),
