@@ -24,7 +24,6 @@ the public constructor's checks.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -44,17 +43,11 @@ _PHYS_REL = 8.0 * np.finfo(float).eps
 _SQRT2 = math.sqrt(2.0)
 
 
-@functools.lru_cache(maxsize=16, typed=True)  # typed: 1.0 and True are not hits for 1
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """The 2n x 2n form Omega = direct sum of [[0, 1], [-1, 0]] blocks.
-
-    Built once per size; the returned array is shared and read-only.
-    """
+    """The 2n x 2n form Omega = direct sum of [[0, 1], [-1, 0]] blocks, a new array per call."""
     require_int("n_modes", n_modes, 1)
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    omega = np.kron(np.eye(n_modes), block)
-    omega.flags.writeable = False
-    return omega
+    upper = np.diag(np.resize([1.0, 0.0], 2 * n_modes - 1), 1)
+    return upper - upper.T
 
 
 @dataclass(frozen=True)

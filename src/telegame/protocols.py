@@ -135,7 +135,8 @@ def _compose(gates) -> np.ndarray:
     return total
 
 
-# The non-cooperative circuit does not depend on alpha: built once, read-only.
+# Neither the non-cooperative circuit nor its continuation by Charlie's
+# heterodyne depends on alpha: each is built and checked once, read-only.
 _NONCOOP_SYMPLECTIC = _checked_symplectic(_compose([
     beam_splitter_matrix(_MODES, _A, _IN),
     sum_gate(_A, _B, -_SQRT2, _X),
@@ -143,7 +144,8 @@ _NONCOOP_SYMPLECTIC = _checked_symplectic(_compose([
     sum_gate(_A, _C, -_SQRT2, _X),
     sum_gate(_IN, _C, _SQRT2, _P),
 ]), _MODES)
-_NONCOOP_SYMPLECTIC.flags.writeable = False
+_HETERODYNED_SYMPLECTIC = _checked_symplectic(beam_splitter_matrix(_MODES, _C, _ANC) @ _NONCOOP_SYMPLECTIC, _MODES)
+_NONCOOP_SYMPLECTIC.flags.writeable = _HETERODYNED_SYMPLECTIC.flags.writeable = False
 
 
 def noncoop_symplectic() -> np.ndarray:
@@ -165,19 +167,20 @@ def coop_symplectic(params: ChannelParams) -> np.ndarray:
     Continues the non-cooperative circuit: Charlie's mode is split with the
     vacuum ancilla (the heterodyne), and the outcome pair is fed forward to
     Bob with the modified-shift coefficient. The -eta part of the correction
-    is an equal feedforward from the Bell ports with opposite sign.
+    is an equal feedforward from the Bell ports with opposite sign. Only this
+    feedforward is built per call; each sum gate is symplectic at any real
+    gain, so the product is not checked again.
     """
     gain = _correction_gain(params) * _SQRT2
     # heterodyne result (quadrature units) is sqrt(2) * (x of Charlie's port,
     # p of ancilla port); Bob displaces by the coefficient times (mu - eta)
-    return _checked_symplectic(_compose([
-        noncoop_symplectic(),
-        beam_splitter_matrix(_MODES, _C, _ANC),
+    return _compose([
+        _HETERODYNED_SYMPLECTIC,
         sum_gate(_C, _B, gain, _X),
         sum_gate(_ANC, _B, gain, _P),
         sum_gate(_A, _B, gain, _X),
         sum_gate(_IN, _B, -gain, _P),
-    ]), _MODES)
+    ])
 
 
 # --- pipelines ---------------------------------------------------------------

@@ -521,12 +521,11 @@ class TestFidelityVsCoherent:
 
 
 class TestSymplecticForm:
-    def test_shared_and_read_only(self):
+    def test_each_call_is_fresh_and_writable(self):
         omega = symplectic_form(3)
-        with pytest.raises(ValueError):
-            omega[0, 1] = 9.0
-        np.testing.assert_array_equal(symplectic_form(3), omega)
-        np.testing.assert_array_equal(omega, np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]]))
+        omega[0, 1] = 9.0
+        assert symplectic_form(3) is not omega
+        np.testing.assert_array_equal(symplectic_form(3), np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]]))
 
 
 class TestFidelityClosedForm:

@@ -23,7 +23,18 @@ from telegame import (
     symplectic_form,
 )
 from telegame.gaussian import beam_splitter_matrix
-from telegame.protocols import _ANC, _C, _MODES, _P, _X, coop_symplectic, noncoop_symplectic, sum_gate
+from telegame.checks import GRID as CHECK_GRID
+from telegame.protocols import (
+    _ANC,
+    _C,
+    _HETERODYNED_SYMPLECTIC,
+    _MODES,
+    _P,
+    _X,
+    coop_symplectic,
+    noncoop_symplectic,
+    sum_gate,
+)
 
 from conftest import random_amplitude
 from oracles import reduced_channel, two_mode_teleport_fidelity
@@ -178,6 +189,21 @@ class TestFeedforwardGates:
         for S in (noncoop_symplectic(), coop_symplectic(channel_params(2.0))):
             assert np.abs(S @ omega @ S.T - omega).max() < 1e-12
 
+    def test_heterodyned_circuit_is_shared_and_read_only(self):
+        S = _HETERODYNED_SYMPLECTIC
+        with pytest.raises(ValueError):
+            S[0, 0] = 9.0
+        np.testing.assert_array_equal(S, beam_splitter_matrix(_MODES, _C, _ANC) @ noncoop_symplectic())
+
+    def test_coop_symplectic_stays_symplectic_over_the_domain(self):
+        """coop_symplectic is not checked per call; its residual stays far
+        below the 1e-9 bound of a checked matrix from alpha = 1/2 up to
+        float max / 2, where the gain approaches 2 - sqrt(2)."""
+        omega = symplectic_form(_MODES)
+        for alpha in [*CHECK_GRID, *LARGE_ALPHA_OUTCOMES]:
+            S = coop_symplectic(channel_params(alpha))
+            assert np.abs(S @ omega @ S.T - omega).max() <= 1e-12, alpha
+
 
 class TestNoncoopPipeline:
     def test_matches_closed_form_at_reference(self):
@@ -219,9 +245,8 @@ class TestCoopPipeline:
     def test_feedforward_leaves_heterodyne_ports_alone(self, alpha):
         """Charlie's fidelity is read from x of Charlie's port and p of the
         ancilla's port, so the feedforward to Bob must not touch those rows."""
-        before = beam_splitter_matrix(_MODES, _C, _ANC) @ noncoop_symplectic()
         rows = [2 * _C, 2 * _ANC + 1]
-        np.testing.assert_array_equal(coop_symplectic(channel_params(alpha))[rows], before[rows])
+        np.testing.assert_array_equal(coop_symplectic(channel_params(alpha))[rows], _HETERODYNED_SYMPLECTIC[rows])
 
 
 class TestRecordIndependence:
