@@ -13,6 +13,8 @@ _MAX_ITER = 200
 # A root is returned only from a bracket at most this wide, so a loose tol
 # cannot stop the bisection early on a far-off point where the gap is small.
 _MAX_BRACKET = 0.01
+# A sweep row holds about 250 bytes, so the largest grid stays near 250 MB.
+_MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[SweepRow]:
     alpha_min, alpha_max = require_real("alpha_min", alpha_min), require_real("alpha_max", alpha_max)
     if not (0.5 <= alpha_min < alpha_max):
         raise InvalidInputError(f"need 1/2 <= alpha_min < alpha_max, got [{alpha_min}, {alpha_max}]")
-    require_int("steps", steps, 2)
+    require_int("steps", steps, 2, _MAX_STEPS + 1)
     rows = []
     for alpha in np.linspace(alpha_min, alpha_max, steps):
         a = float(alpha)

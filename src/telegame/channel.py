@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, is_real, require_real
-from .gaussian import GaussianState
+from .gaussian import GaussianState, _instance
 
 _SWAP_TOL = 1e-12
 # Largest alpha served: the last one at which 2 alpha - 1 is finite.
@@ -88,6 +88,7 @@ def build_cm(params: ChannelParams) -> GaussianState:
     quadratures and the p quadratures, each a 3x3 block, delta only changes
     sign. Symmetric by construction, and finite since every field is.
     """
+    _instance(params, ChannelParams, "params")
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
     cov = np.zeros((6, 6))
     cov[0::2, 0::2] = [[a, d, d], [d, b, g], [d, g, b]]
@@ -97,7 +98,7 @@ def build_cm(params: ChannelParams) -> GaussianState:
 
 def exchange_symmetry_check(state: GaussianState) -> bool:
     """True iff the state is invariant under swapping the two receiver modes."""
-    if state.modes != 3:
+    if _instance(state, GaussianState, "state").modes != 3:
         raise InvalidInputError(f"exchange check needs a 3-mode state, got {state.modes}")
     order = [0, 1, 4, 5, 2, 3]  # a, c, b
     cov_ok = np.abs(state.cov[np.ix_(order, order)] - state.cov).max() <= _SWAP_TOL

@@ -38,7 +38,7 @@ from .errors import InvalidInputError, require_int, require_real
 # pass at every scale.
 _SYM_TOL = 1e-9
 _PHYS_TOL = 1e-9
-_PHYS_REL = 8.0 * np.finfo(float).eps
+_PHYS_REL = 8.0 * math.ulp(1.0)  # a Python float, so comparisons give a bool
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -77,11 +77,11 @@ class ComplexAmplitude:
 ZERO_AMPLITUDE = ComplexAmplitude(0.0, 0.0)
 
 
-def _amplitude(amp, name: str = "amplitude") -> ComplexAmplitude:
-    """`amp` itself; InvalidInputError unless it is a ComplexAmplitude."""
-    if not isinstance(amp, ComplexAmplitude):
-        raise InvalidInputError(f"{name} must be a ComplexAmplitude, got {amp!r}")
-    return amp
+def _instance(value, cls: type, name: str):
+    """`value` itself; InvalidInputError unless it is an instance of `cls`."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
 
 
 def _array(values, name: str) -> np.ndarray:
@@ -117,10 +117,11 @@ class GaussianState:
         dim = 2 * self.modes
         mean = _real_array(self.mean, (dim,), "mean vector").copy()
         cov = _real_array(self.cov, (dim, dim), "covariance")
-        asym = np.abs(cov - cov.T).max()
+        half = 0.5 * cov  # halving first: neither the difference nor the sum overflows
+        asym = 2.0 * float(np.abs(half - half.T).max())  # exact except on subnormals; inf without a warning
         if asym > _SYM_TOL:
             raise InvalidInputError(f"covariance asymmetry {asym:.3e} exceeds tolerance {_SYM_TOL:.0e}")
-        cov = 0.5 * cov + 0.5 * cov.T  # halving first: no overflow above float max / 2
+        cov = half + half.T
         mean.flags.writeable = cov.flags.writeable = False
         self.__dict__.update(mean=mean, cov=cov)
 
@@ -159,12 +160,15 @@ def vacuum(n_modes: int = 1) -> GaussianState:
 
 def make_coherent(amp: ComplexAmplitude) -> GaussianState:
     """Single-mode coherent state with the given amplitude."""
-    mean = _real_array(_amplitude(amp).as_mean(), (2,), "mean vector")  # sqrt(2) amp can overflow
+    amp = _instance(amp, ComplexAmplitude, "amplitude")
+    mean = _real_array(amp.as_mean(), (2,), "mean vector")  # sqrt(2) amp can overflow
     return GaussianState._trusted(1, mean, 0.5 * np.eye(2))
 
 
 def tensor(s1: GaussianState, s2: GaussianState) -> GaussianState:
     """Joint state of two subsystems; modes of `s1` come first."""
+    _instance(s1, GaussianState, "s1")
+    _instance(s2, GaussianState, "s2")
     n = s1.modes + s2.modes
     mean = np.concatenate([s1.mean, s2.mean])
     cov = np.zeros((2 * n, 2 * n))
@@ -175,7 +179,7 @@ def tensor(s1: GaussianState, s2: GaussianState) -> GaussianState:
 
 def apply_symplectic(state: GaussianState, S: np.ndarray) -> GaussianState:
     """Evolve the state under a symplectic matrix: cov -> S cov S^T, mean -> S mean."""
-    return _evolve(state, _checked_symplectic(S, state.modes))
+    return _evolve(state, _checked_symplectic(S, _instance(state, GaussianState, "state").modes))
 
 
 def _checked_symplectic(S, n_modes: int) -> np.ndarray:
@@ -215,19 +219,20 @@ def beam_splitter_matrix(n_modes: int, i: int, j: int) -> np.ndarray:
 
 def beam_splitter_50_50(state: GaussianState, i: int, j: int) -> GaussianState:
     """Mix modes i and j on a balanced beam splitter."""
-    return _evolve(state, beam_splitter_matrix(state.modes, i, j))
+    return _evolve(state, beam_splitter_matrix(_instance(state, GaussianState, "state").modes, i, j))
 
 
 def displace(state: GaussianState, mode: int, amp: ComplexAmplitude) -> GaussianState:
     """Shift the mean of one mode by sqrt(2)*(re, im); covariance unchanged."""
-    i = _check_mode(state, mode)
+    i = _check_mode(_instance(state, GaussianState, "state"), mode)
     mean = state.mean.copy()
-    mean[2 * i : 2 * i + 2] += _amplitude(amp).as_mean()
+    mean[2 * i : 2 * i + 2] += _instance(amp, ComplexAmplitude, "amplitude").as_mean()
     return GaussianState._trusted(state.modes, _real_array(mean, mean.shape, "mean vector"), state.cov)
 
 
 def partial_trace(state: GaussianState, keep) -> GaussianState:
     """Reduced state on the listed modes, in the order given."""
+    _instance(state, GaussianState, "state")
     try:
         keep = list(keep)
     except TypeError:
@@ -280,7 +285,7 @@ def homodyne_update(
     measured quadrature's variance enters, as a scalar Schur complement; it
     must be positive.
     """
-    if state.modes < 2:
+    if _instance(state, GaussianState, "state").modes < 2:
         raise InvalidInputError("homodyne conditioning needs at least two modes")
     if quadrature not in ("x", "p"):
         raise InvalidInputError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
@@ -298,12 +303,12 @@ def heterodyne_update(
     single-mode state there is nothing left to condition; query
     :func:`heterodyne_outcome_distribution` instead.
     """
-    if state.modes < 2:
+    if _instance(state, GaussianState, "state").modes < 2:
         raise InvalidInputError(
             "heterodyne on a single-mode state leaves no conditional state; "
             "use heterodyne_outcome_distribution"
         )
-    x, p = _amplitude(outcome, "heterodyne outcome").as_mean()
+    x, p = _instance(outcome, ComplexAmplitude, "heterodyne outcome").as_mean()
     return _condition(state, mode, [("x", 0.5, x), ("p", 0.5, p)])
 
 
@@ -315,7 +320,7 @@ def heterodyne_outcome_distribution(
     Returns the mean as an amplitude (mode mean divided by sqrt(2)) and the
     outcome covariance B + (1/2) I in quadrature units.
     """
-    i = _check_mode(state, mode)
+    i = _check_mode(_instance(state, GaussianState, "state"), mode)
     q = slice(2 * i, 2 * i + 2)
     return ComplexAmplitude.from_mean(state.mean[q]), state.cov[q, q] + 0.5 * np.eye(2)
 
@@ -329,8 +334,8 @@ def fidelity_vs_coherent(state: GaussianState, amp: ComplexAmplitude) -> float:
     bound, sigma[0, 0] > 0 and det(sigma) >= 1/4, up to the slack of
     :func:`physicality` times the trace.
     """
-    _amplitude(amp)
-    if state.modes != 1:
+    _instance(amp, ComplexAmplitude, "amplitude")
+    if _instance(state, GaussianState, "state").modes != 1:
         raise InvalidInputError(f"fidelity_vs_coherent needs a single-mode state, got {state.modes}")
     a, b, c, d = state.cov.ravel().tolist()
     excess = a * d - b * c - 0.25

@@ -32,6 +32,7 @@ from .gaussian import (
     ComplexAmplitude,
     GaussianState,
     ZERO_AMPLITUDE,
+    _instance,
     beam_splitter_50_50,
     displace,
     heterodyne_outcome_distribution,
@@ -170,6 +171,7 @@ def estimate_fidelities(config: McConfig, workers: int = 1) -> McEstimate:
     `workers` only sets the degree of parallelism; the estimate is
     bit-identical for every value of it.
     """
+    _instance(config, McConfig, "config")
     require_int("shots", config.shots, 1)
     require_int("seed", config.seed, 0, 2**64)
     require_int("workers", workers, 1)

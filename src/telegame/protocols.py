@@ -26,9 +26,9 @@ from .gaussian import (
     ComplexAmplitude,
     GaussianState,
     ZERO_AMPLITUDE,
-    _amplitude,
     _checked_symplectic,
     _evolve,
+    _instance,
     _real_array,
     beam_splitter_matrix,
     fidelity_vs_coherent,
@@ -97,7 +97,8 @@ def modified_shift(
     cancels the drift the measuring receiver's operations leave on the
     correlated mode.
     """
-    eta, mu = _amplitude(eta, "eta"), _amplitude(mu, "mu")
+    eta, mu = _instance(eta, ComplexAmplitude, "eta"), _instance(mu, ComplexAmplitude, "mu")
+    params = _instance(params, ChannelParams, "params")
     coeff = (params.delta - params.gamma) / (params.beta + 0.5)
     return ComplexAmplitude(
         eta.re + coeff * (mu.re - eta.re),

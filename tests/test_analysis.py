@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,19 @@ class TestSweep:
     def test_invalid_arguments(self, bad):
         with pytest.raises(InvalidInputError):
             sweep(*bad)
+
+    @pytest.mark.parametrize("steps", [10**6 + 1, 10**30, 2**63])
+    def test_step_count_is_capped_before_allocating(self, steps):
+        """A row costs about 250 bytes, so 10**8 of them would exhaust memory
+        rather than raise; numpy's own errors for 10**30 and 2**63 would leak."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="steps"):
+                sweep(0.5, 1.0, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestThreshold:

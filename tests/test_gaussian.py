@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -13,8 +14,10 @@ from telegame import (
     ZERO_AMPLITUDE,
     apply_symplectic,
     beam_splitter_50_50,
+    build_cm,
     displace,
     estimate_fidelities,
+    exchange_symmetry_check,
     f_ab_coop,
     fidelity_vs_coherent,
     find_threshold,
@@ -34,6 +37,7 @@ from telegame import (
     vacuum,
 )
 from telegame.gaussian import beam_splitter_matrix
+from telegame.protocols import coop_symplectic
 
 from conftest import random_amplitude, random_physical_state
 from oracles import pinv_homodyne_update
@@ -158,6 +162,10 @@ INVALID_INPUTS = {
     "vacuum-fractional": (lambda: vacuum(1.5), "n_modes"),
     "beam-splitter-fractional-modes": (lambda: beam_splitter_matrix(1.5, 0, 1), "n_modes"),
     "physicality-non-numeric": (lambda: physicality([["a", "b"], ["c", "d"]]), "covariance must be real"),
+    # halving first: cov - cov.T would overflow to inf with a warning
+    "state-asymmetry-beyond-float-range": (
+        lambda: GaussianState(1, np.zeros(2), [[1, 1e308], [-1e308, 1]]), "asymmetry inf exceeds"
+    ),
     "state-ragged-mean": (lambda: GaussianState(1, [0, [1, 2]], 0.5 * np.eye(2)), "mean vector must be a rectangular"),
     "physicality-ragged": (lambda: physicality([[1, 0], [0]]), "covariance must be a rectangular"),
     "partial-trace-int-keep": (lambda: partial_trace(vacuum(2), 5), "keep"),
@@ -173,6 +181,23 @@ INVALID_INPUTS = {
     "alpha-none-estimator": (
         lambda: estimate_fidelities(McConfig(shots=10, seed=1, alpha=None)), "alpha must be a real number"
     ),
+    "partial-trace-none-state": (lambda: partial_trace(None, [0]), "state must be a GaussianState"),
+    "tensor-none": (lambda: tensor(vacuum(1), None), "s2 must be a GaussianState"),
+    "apply-symplectic-none-state": (lambda: apply_symplectic(None, np.eye(2)), "state must be a GaussianState"),
+    "beam-splitter-none-state": (lambda: beam_splitter_50_50(None, 0, 1), "state must be a GaussianState"),
+    "displace-none-state": (lambda: displace(None, 0, ZERO), "state must be a GaussianState"),
+    "homodyne-none-state": (lambda: homodyne_update(None, 0, "x", 0.0), "state must be a GaussianState"),
+    "heterodyne-none-state": (lambda: heterodyne_update(None, 0, ZERO), "state must be a GaussianState"),
+    "heterodyne-law-none-state": (
+        lambda: heterodyne_outcome_distribution(None, 0), "state must be a GaussianState"
+    ),
+    "fidelity-none-state": (lambda: fidelity_vs_coherent(None, ZERO), "state must be a GaussianState"),
+    "build-cm-none": (lambda: build_cm(None), "params must be a ChannelParams"),
+    "build-cm-tuple": (lambda: build_cm((2.0, 1.5, 1.0, 1.0)), "params must be a ChannelParams"),
+    "exchange-check-none": (lambda: exchange_symmetry_check(None), "state must be a GaussianState"),
+    "modified-shift-none-params": (lambda: modified_shift(ZERO, ZERO, None), "params must be a ChannelParams"),
+    "coop-symplectic-none-params": (lambda: coop_symplectic(None), "params must be a ChannelParams"),
+    "estimate-none-config": (lambda: estimate_fidelities(None), "config must be a McConfig"),
 }
 
 
@@ -291,6 +316,10 @@ class TestPhysicality:
 
     def test_thermal_passes(self):
         assert physicality(2.0 * np.eye(4))
+
+    def test_returns_a_python_bool_where_the_relative_slack_wins(self):
+        assert physicality(1e6 * np.eye(2)) is True
+        assert json.dumps(physicality(1e6 * np.eye(2))) == "true"
 
     def test_matches_eigenvalue_oracle(self, rng):
         for _ in range(20):
