@@ -14,7 +14,7 @@ import numpy as np
 from .analysis import find_classical_crossings, find_threshold, sweep
 from .channel import build_cm, channel_params, exchange_symmetry_check
 from .errors import DomainError
-from .gaussian import ComplexAmplitude, ZERO_AMPLITUDE, make_coherent, physicality, tensor
+from .gaussian import ComplexAmplitude, ZERO_AMPLITUDE, physicality
 from .montecarlo import McConfig, _ShotKernel, estimate_fidelities
 from .protocols import (
     f_ab_coop,
@@ -47,11 +47,13 @@ def random_tuples(count):
 def compare_to_closed_forms(alpha, est):
     """Each Monte-Carlo estimate against its closed form under the 3-sigma rule.
 
-    Returns (name, closed, hat, stderr, consistent) for f_tr, f_ab, f_ac in
-    that order; consistent means |hat - closed| <= 3 stderr + STAT_FLOOR.
+    Returns (name, closed, hat, stderr, z, consistent) for f_tr, f_ab, f_ac
+    in that order; z is (hat - closed) / stderr, None where stderr is 0 or
+    infinite, and consistent means |hat - closed| <= 3 stderr + STAT_FLOOR.
     """
     return [
-        (name, closed, hat, err, abs(hat - closed) <= 3.0 * err + STAT_FLOOR)
+        (name, closed, hat, err, None if err == 0.0 or math.isinf(err) else (hat - closed) / err,
+         abs(hat - closed) <= 3.0 * err + STAT_FLOOR)
         for name, closed, hat, err in (
             ("f_tr", f_noncoop(alpha), est.f_tr_hat, est.stderr_tr),
             ("f_ab", f_ab_coop(alpha), est.f_ab_hat, est.stderr_ab),
@@ -113,45 +115,44 @@ def _check_exchange_grid():
     return None
 
 
-def _check_pipeline_noncoop():
-    for alpha, amp, eta, _ in random_tuples(100):
-        out = run_noncoop_pipeline(alpha, amp, eta)
-        if abs(out.fidelity_bob - f_noncoop(alpha)) > 1e-10:
-            return f"pipeline F_tr off at alpha={alpha}"
+def _pipeline_mismatch(run, closed_forms, cases):
+    """First failure of `run` over the (alpha, input, records...) cases: each
+    listed fidelity field against its closed form, then Bob's mean residual."""
+    for alpha, amp, *records in cases:
+        out = run(alpha, amp, *records)
+        for field, closed in closed_forms:
+            got, want = getattr(out, field), closed(alpha)
+            if abs(got - want) > 1e-10:
+                return f"pipeline {field} {got!r} != closed form {want!r} at alpha={alpha}, input {amp}"
         if np.abs(out.mean_residual_bob).max() > 1e-9:
             return f"non-zero mean residual at alpha={alpha}"
     return None
+
+
+def _check_pipeline_noncoop():
+    cases = ((alpha, amp, eta) for alpha, amp, eta, _ in random_tuples(100))
+    pairs = (("fidelity_bob", f_noncoop), ("fidelity_charlie", f_noncoop))
+    return _pipeline_mismatch(run_noncoop_pipeline, pairs, cases)
 
 
 def _check_pipeline_fab():
-    for alpha, amp, eta, mu in random_tuples(100):
-        out = run_coop_pipeline(alpha, amp, eta, mu)
-        if abs(out.fidelity_bob - f_ab_coop(alpha)) > 1e-10:
-            return f"pipeline F_AB off at alpha={alpha}"
-        if np.abs(out.mean_residual_bob).max() > 1e-9:
-            return f"non-zero mean residual at alpha={alpha}"
-    return None
+    return _pipeline_mismatch(run_coop_pipeline, (("fidelity_bob", f_ab_coop),), random_tuples(100))
 
 
 def _check_measurer_average():
     edge_cases = [(alpha, ZERO_AMPLITUDE, ZERO_AMPLITUDE, ZERO_AMPLITUDE) for alpha in (0.5, 2.0, 10.0)]
-    for alpha, amp, eta, mu in edge_cases + list(random_tuples(100)):
-        got = run_coop_pipeline(alpha, amp, eta, mu).fidelity_charlie
-        if abs(got - f_ac_coop(alpha)) > 1e-10:
-            return f"exact outcome average {got} != 1/(kappa+1) at alpha={alpha}, input {amp}"
-    return None
+    cases = edge_cases + list(random_tuples(100))
+    return _pipeline_mismatch(run_coop_pipeline, (("fidelity_charlie", f_ac_coop),), cases)
 
 
 def _check_kernel_matches_chain():
     rng = np.random.default_rng(20240917)
     std = 1.3
     for alpha in MC_ALPHAS:
-        params = channel_params(alpha)
-        joint = tensor(make_coherent(ZERO_AMPLITUDE), build_cm(params))
-        w = _ShotKernel(alpha, std).w
+        kernel = _ShotKernel(alpha, std)
         for z in rng.standard_normal((10, 6)):
             chain_z = np.concatenate([math.sqrt(2.0) * std * z[0:2], z[2:6]])
-            gap = np.abs(w[4:6] @ z - _ShotKernel._chain(joint, params, chain_z)[0][4:6]).max()
+            gap = np.abs(kernel.w[4:6] @ z - kernel._chain(chain_z)[0][4:6]).max()
             if gap > 1e-12:
                 return f"measurer rows of the shot map off the chain by {gap:.3e} at alpha={alpha}"
     return None
@@ -204,7 +205,7 @@ def _mc_estimates():
 
 def _check_mc_consistency():
     for alpha, est in _mc_estimates().items():
-        for name, closed, hat, _, consistent in compare_to_closed_forms(alpha, est):
+        for name, closed, hat, _, _, consistent in compare_to_closed_forms(alpha, est):
             if not consistent:
                 return f"{name} estimate {hat} off closed form {closed} at alpha={alpha}"
     return None
@@ -212,7 +213,7 @@ def _check_mc_consistency():
 
 def _check_mc_outcome_spread():
     for alpha, est in _mc_estimates().items():
-        for err, name in ((est.stderr_tr, "f_tr"), (est.stderr_ab, "f_ab")):
+        for name, _, _, err, _, _ in compare_to_closed_forms(alpha, est)[:2]:  # the exact f_tr, f_ab
             spread = err * math.sqrt(est.shots)
             if spread > 1e-9:
                 return f"per-shot spread of {name} is {spread} at alpha={alpha}"

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 from . import __version__
@@ -32,11 +31,6 @@ def _render_csv(rows) -> str:
             ",".join(_fmt(v) for v in (r.alpha, r.f_tr, r.f_ab, r.f_ac, r.f_coop))
         )
     return "\n".join(lines) + "\n"
-
-
-def _z_score(hat: float, closed: float, err: float):
-    """(hat - closed) / err, or None where err is 0 or infinite."""
-    return None if err == 0.0 or math.isinf(err) else (hat - closed) / err
 
 
 def cmd_channel(args) -> int:
@@ -89,19 +83,18 @@ def cmd_simulate(args) -> int:
     if args.json:
         payload = {"alpha": args.alpha, "shots": est.shots, "seed": args.seed,
                    "ensemble_std": args.ensemble_std}
-        for name, closed, hat, err, _ in rows:
+        for name, closed, hat, err, z, _ in rows:
             payload[f"{name}_closed"] = closed
             payload[f"{name}_hat"] = hat
             payload[f"{name}_stderr"] = err
-            payload[f"{name}_z"] = _z_score(hat, closed, err)
+            payload[f"{name}_z"] = z
         payload["consistent"] = consistent
         print(json.dumps(payload))
     else:
         print(f"alpha {_fmt(args.alpha)}  shots {est.shots}  seed {args.seed}  "
               f"ensemble_std {_fmt(args.ensemble_std)}")
-        for name, closed, hat, err, ok in rows:
+        for name, closed, hat, err, z, ok in rows:
             verdict = "ok" if ok else "OFF>3SIGMA"
-            z = _z_score(hat, closed, err)
             print(f"{name}  closed={_fmt(closed)}  estimate={_fmt(hat)}  "
                   f"stderr={err:.3e}  z={'n/a' if z is None else format(z, '+.2f')}  {verdict}")
     return 0 if consistent else 5

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, build_cm, channel_params
+from .channel import build_cm, channel_params
 from .errors import require_int, require_real
 from .gaussian import (
     _SQRT2,
@@ -84,7 +84,8 @@ class _ShotKernel:
     the whitened mean mismatches y_k of the non-cooperative receiver, the
     helped receiver and the measurer's reconstruction; fidelity k is the
     Gaussian overlap ``pre[k] * exp(-|y_k|^2 / 2)``. Every row block is probed
-    from the one conditioning chain :meth:`_chain`, which is affine in z. The
+    from the one conditioning chain :meth:`_chain` of ``joint`` (a zero input
+    beside the channel of ``params``), which is affine in z. The
     two receivers score their record-averaged state: the record columns R of
     their mismatch fold into its covariance, sigma = cov + I/2 + R R^T, so
     f_tr and f_ab are exact per shot. The measurer reconstructs a coherent
@@ -92,11 +93,11 @@ class _ShotKernel:
     """
 
     def __init__(self, alpha: float, std: float):
-        params = channel_params(alpha)
-        joint = tensor(make_coherent(ZERO_AMPLITUDE), build_cm(params))
+        self.params = channel_params(alpha)
+        self.joint = tensor(make_coherent(ZERO_AMPLITUDE), build_cm(self.params))
         I2 = np.eye(2)
-        base, covs = self._chain(joint, params, np.zeros(6))
-        jac = np.column_stack([self._chain(joint, params, e)[0] - base for e in np.eye(6)])
+        base, covs = self._chain(np.zeros(6))
+        jac = np.column_stack([self._chain(e)[0] - base for e in np.eye(6)])
 
         # The input u = sqrt(2) std z[0:2] enters each mismatch through its
         # total gain minus I, probed at unit input and scaled afterwards so
@@ -113,8 +114,7 @@ class _ShotKernel:
         self.w[2:4, 0:2] = np.linalg.solve(np.linalg.cholesky(sigma[1]), jac[2:4, 0:2]) * scale
         self.w[4:6] = np.hstack([jac[4:6, 0:2] * scale, record[2]])
 
-    @staticmethod
-    def _chain(joint: GaussianState, params: ChannelParams, z: np.ndarray):
+    def _chain(self, z: np.ndarray):
         """One shot of the conditioning chain, for input mean u = z[0:2] and
         record normals z[2:4] (Bell) and z[4:6] (heterodyne).
 
@@ -123,7 +123,7 @@ class _ShotKernel:
         and the two receivers' conditional covariances.
         """
         u = z[0:2]
-        st = beam_splitter_50_50(GaussianState(4, np.concatenate([u, np.zeros(6)]), joint.cov), 1, 0)
+        st = beam_splitter_50_50(GaussianState(4, np.concatenate([u, np.zeros(6)]), self.joint.cov), 1, 0)
         bell = [2, 1]  # x of mode 1 = X_minus, p of mode 0 = P_plus
         m = st.mean[bell] + np.linalg.cholesky(st.cov[np.ix_(bell, bell)]) @ z[2:4]
         st = homodyne_update(st, 1, "x", m[0])
@@ -132,7 +132,7 @@ class _ShotKernel:
         st = displace(displace(st, 0, eta), 1, eta)
         mu = st.mode_mean(1) + np.linalg.cholesky(heterodyne_outcome_distribution(st, 1)[1]) @ z[4:6]
         mu_amp = ComplexAmplitude.from_mean(mu)
-        shift = modified_shift(eta, mu_amp, params)
+        shift = modified_shift(eta, mu_amp, self.params)
         helped = heterodyne_update(st, 1, mu_amp)
         helped = displace(helped, 0, ComplexAmplitude(shift.re - eta.re, shift.im - eta.im))
         mismatch = np.concatenate([st.mode_mean(0) - u, helped.mean - u, mu - u])

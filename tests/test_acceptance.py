@@ -7,14 +7,35 @@ from fractions import Fraction
 import pytest
 
 from telegame import f_noncoop, find_classical_crossings
-from telegame import cli
+from telegame import cli, protocols
 from telegame.checks import CHECKS
+from telegame.gaussian import _SQRT2, beam_splitter_matrix
+from telegame.protocols import _A, _B, _C, _IN, _MODES, _P, _X, _compose, sum_gate
 
 
 @pytest.mark.parametrize("check", [fn for _, fn in CHECKS], ids=[name for name, _ in CHECKS])
 def test_check(check):
     message = check()
     assert message is None, message
+
+
+def _noncoop_circuit(charlie_p_gain):
+    return _compose([
+        beam_splitter_matrix(_MODES, _A, _IN),
+        sum_gate(_A, _B, -_SQRT2, _X),
+        sum_gate(_IN, _B, _SQRT2, _P),
+        sum_gate(_A, _C, -_SQRT2, _X),
+        sum_gate(_IN, _C, charlie_p_gain, _P),
+    ])
+
+
+def test_charlie_gain_mutation_fails_only_the_noncoop_pipeline_check(monkeypatch):
+    """Charlie's p feedforward gain in the standard circuit times 1 + 1e-6
+    moves only her fidelity, by about 8e-7; verify must see it."""
+    assert _noncoop_circuit(_SQRT2).tobytes() == protocols.noncoop_symplectic().tobytes()
+    monkeypatch.setattr(protocols, "_NONCOOP_SYMPLECTIC", _noncoop_circuit(_SQRT2 * (1 + 1e-6)))
+    failed = [name for name, check in CHECKS if check() is not None]
+    assert failed == ["pipeline-noncoop-matches-closed-form"]
 
 
 def test_criterion_1_no_cloning_optimum():

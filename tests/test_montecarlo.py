@@ -1,5 +1,6 @@
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from telegame import (
     GaussianState,
     InvalidInputError,
     McConfig,
+    McEstimate,
     beam_splitter_50_50,
     build_cm,
     channel_params,
@@ -25,7 +27,7 @@ from telegame import (
     tensor,
 )
 from telegame import montecarlo, protocols
-from telegame.checks import compare_to_closed_forms
+from telegame.checks import MC_ALPHAS, compare_to_closed_forms
 from telegame.montecarlo import _CHUNK, _ShotKernel, _chunk_sums, _shot_normals
 
 from oracles import scalar_chunk_sums
@@ -71,6 +73,19 @@ class TestShotKernel:
         kernel = _ShotKernel(alpha, std)
         expected = scalar_chunk_sums(kernel.w, kernel.pre, kernel.ref, _shot_normals(5, lo, hi))
         np.testing.assert_allclose(_chunk_sums(kernel, 5, lo, hi), expected, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("alpha", MC_ALPHAS)
+    def test_kernel_chain_is_the_chain_of_the_rebuilt_state(self, alpha):
+        """The kernel keeps the joint state and channel it probes: its chain
+        gives the bytes of a chain on a state rebuilt from channel_params and
+        build_cm."""
+        kernel = _ShotKernel(alpha, 1.3)
+        params = channel_params(alpha)
+        rebuilt = SimpleNamespace(params=params, joint=tensor(make_coherent(ZERO_AMPLITUDE), build_cm(params)))
+        for z in np.random.default_rng(3).standard_normal((5, 6)):
+            (got, got_covs), (want, want_covs) = kernel._chain(z), _ShotKernel._chain(rebuilt, z)
+            assert got.tobytes() == want.tobytes()
+            assert [c.tobytes() for c in got_covs] == [c.tobytes() for c in want_covs]
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
     def test_linear_map_matches_conditioning_chain(self, alpha):
@@ -139,6 +154,11 @@ class TestEstimator:
         for alpha in (0.5, 2.0, 10.0):
             est = estimate_fidelities(McConfig(shots=20_000, seed=8, alpha=alpha))
             assert all(row[-1] for row in compare_to_closed_forms(alpha, est)), alpha
+
+    def test_z_score_is_none_where_stderr_is_zero_or_infinite(self):
+        est = McEstimate(0.6, 0.7, 0.41, 0.0, math.inf, 0.01, 100)
+        rows = compare_to_closed_forms(2.0, est)
+        assert [row[4] for row in rows] == [None, None, (0.41 - f_ac_coop(2.0)) / 0.01]
 
     def test_single_shot_has_infinite_stderr(self):
         """One shot has no sample variance: it must not read as exact."""
