@@ -41,11 +41,14 @@ _PHYS_TOL = 1e-9
 _PHYS_REL = 8.0 * math.ulp(1.0)  # a Python float, so comparisons give a bool
 
 _SQRT2 = math.sqrt(2.0)
+# Every mode count is at most this: a 2n x 2n float matrix then holds 32 MB,
+# physicality's complex one 64 MB. The package's circuits use 5 modes.
+_MAX_MODES = 1000
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """The 2n x 2n form Omega = direct sum of [[0, 1], [-1, 0]] blocks, a new array per call."""
-    require_int("n_modes", n_modes, 1)
+    require_int("n_modes", n_modes, 1, _MAX_MODES + 1)
     upper = np.diag(np.resize([1.0, 0.0], 2 * n_modes - 1), 1)
     return upper - upper.T
 
@@ -113,7 +116,7 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        require_int("modes", self.modes, 1)
+        require_int("modes", self.modes, 1, _MAX_MODES + 1)
         dim = 2 * self.modes
         mean = _real_array(self.mean, (dim,), "mean vector").copy()
         cov = _real_array(self.cov, (dim, dim), "covariance")
@@ -154,7 +157,7 @@ def _mode_slices(modes) -> np.ndarray:
 
 def vacuum(n_modes: int = 1) -> GaussianState:
     """n-mode vacuum: zero mean, covariance (1/2) I."""
-    require_int("n_modes", n_modes, 1)
+    require_int("n_modes", n_modes, 1, _MAX_MODES + 1)
     return GaussianState._trusted(n_modes, np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes))
 
 
@@ -202,7 +205,7 @@ def beam_splitter_matrix(n_modes: int, i: int, j: int) -> np.ndarray:
     Output mode i carries (q_i - q_j)/sqrt(2), mode j carries (q_i + q_j)/sqrt(2)
     for both quadratures.
     """
-    require_int("n_modes", n_modes, 2)
+    require_int("n_modes", n_modes, 2, _MAX_MODES + 1)
     if i == j:
         raise InvalidInputError("beam splitter needs two distinct modes")
     for m in (i, j):

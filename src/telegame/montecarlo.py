@@ -47,6 +47,12 @@ _CHUNK = 4096  # reduction granularity; fixed so thread count cannot reorder sum
 # Nothing guarantees that the probed unit input gain is exactly 1; one rounding
 # (1.1e-16), scaled by sqrt(2) std, is at most 1.6e-6 per unit normal up to here.
 _MAX_ENSEMBLE_STD = 1e10
+# Before the first shot is scored, the chunk list and one future per chunk
+# hold about 1.9 kB per chunk (tracemalloc), so 10**9 shots hold about 460 MB.
+_MAX_SHOTS = 10**9
+# The GIL serializes the draws, so threads beyond a few add nothing; the pool
+# starts one per submitted chunk up to this many.
+_MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -172,9 +178,9 @@ def estimate_fidelities(config: McConfig, workers: int = 1) -> McEstimate:
     bit-identical for every value of it.
     """
     _instance(config, McConfig, "config")
-    require_int("shots", config.shots, 1)
+    require_int("shots", config.shots, 1, _MAX_SHOTS + 1)
     require_int("seed", config.seed, 0, 2**64)
-    require_int("workers", workers, 1)
+    require_int("workers", workers, 1, _MAX_WORKERS + 1)
     std = require_real("input_ensemble_std", config.input_ensemble_std, 0.0, _MAX_ENSEMBLE_STD)
     kernel = _ShotKernel(config.alpha, std)
 

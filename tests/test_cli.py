@@ -5,6 +5,7 @@ import pytest
 
 from telegame import ComplexAmplitude
 from telegame import checks, cli
+from telegame.montecarlo import _MAX_SHOTS, _MAX_WORKERS
 
 
 def run(capsys, *argv):
@@ -154,6 +155,13 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert "input_ensemble_std" in err
+
+    @pytest.mark.parametrize("flag, value", [("--shots", _MAX_SHOTS + 1), ("--workers", _MAX_WORKERS + 1)])
+    def test_count_beyond_its_bound_exits_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "simulate", "--alpha", "2", flag, str(value))
+        assert code == 2
+        assert out == ""
+        assert flag[2:] in err
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:

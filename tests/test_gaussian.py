@@ -6,11 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import telegame
 from telegame import (
     ComplexAmplitude,
     GaussianState,
     InvalidInputError,
     McConfig,
+    TelegameError,
     ZERO_AMPLITUDE,
     apply_symplectic,
     beam_splitter_50_50,
@@ -198,6 +200,13 @@ INVALID_INPUTS = {
     "modified-shift-none-params": (lambda: modified_shift(ZERO, ZERO, None), "params must be a ChannelParams"),
     "coop-symplectic-none-params": (lambda: coop_symplectic(None), "params must be a ChannelParams"),
     "estimate-none-config": (lambda: estimate_fidelities(None), "config must be a McConfig"),
+    # numpy would raise ValueError or OverflowError, or try to allocate 320 GB
+    "vacuum-huge-modes": (lambda: vacuum(10**30), "n_modes must be an integer in \\[1, 1001\\)"),
+    "vacuum-mid-size-modes": (lambda: vacuum(10**5), "n_modes"),
+    "symplectic-form-huge-modes": (lambda: symplectic_form(10**30), "n_modes"),
+    "beam-splitter-huge-modes": (lambda: beam_splitter_matrix(10**30, 0, 1), "n_modes"),
+    "state-huge-modes": (lambda: GaussianState(1001, np.zeros(2002), 0.5 * np.eye(2002)), "modes"),
+    "physicality-beyond-mode-bound": (lambda: physicality(0.5 * np.eye(2002)), "modes"),
 }
 
 
@@ -208,6 +217,105 @@ def test_invalid_input_raises_typed_error_without_warning(call, message):
         with pytest.raises(InvalidInputError, match=message):
             call()
     assert not caught, [str(w.message) for w in caught]
+
+
+def test_largest_mode_count_is_served():
+    assert vacuum(1000).modes == 1000
+    assert physicality(0.5 * np.eye(2000))
+
+
+def _estimate_from_fields(*fields):
+    """A McConfig stores its fields; estimate_fidelities checks them when it reads the config."""
+    return estimate_fidelities(McConfig(*fields))
+
+
+# Valid positional arguments of every callable in telegame.__all__, and the
+# positions that take any value: an exception or a result record stores what
+# it is given, and the pipelines do not read their announced records.
+CONTRACT = {
+    "BracketError": (("message",), {0}),
+    "ChannelParams": ((2.0, 1.5, 1.0, 1.0), set()),
+    "ComplexAmplitude": ((0.7, -0.1), set()),
+    "DomainError": (("message",), {0}),
+    "GaussianState": ((1, np.zeros(2), 0.5 * np.eye(2)), set()),
+    "InvalidInputError": (("message",), {0}),
+    "McConfig": ((10, 1, 2.0, 1.0), set()),
+    "McEstimate": ((0.6, 0.7, 0.4, 0.0, 0.0, 0.01, 10), set(range(7))),
+    "StrategyOutcome": ((0.6, 0.6, np.zeros(2)), {0, 1, 2}),
+    "SweepRow": ((2.0, 0.6, 0.7, 0.4, 0.55), set(range(5))),
+    "TelegameError": (("message",), {0}),
+    "ThresholdResult": ((5.76, 0.5, 10, 0.0, 0.01), set(range(5))),
+    "apply_symplectic": ((vacuum(1), np.eye(2)), set()),
+    "beam_splitter_50_50": ((vacuum(2), 0, 1), set()),
+    "build_cm": ((channel_params(2.0),), set()),
+    "channel_params": ((2.0,), set()),
+    "displace": ((vacuum(1), 0, ZERO), set()),
+    "estimate_fidelities": ((McConfig(10, 1, 2.0), 1), set()),
+    "exchange_symmetry_check": ((build_cm(channel_params(2.0)),), set()),
+    "f_ab_coop": ((2.0,), set()),
+    "f_ac_coop": ((2.0,), set()),
+    "f_coop_avg": ((2.0,), set()),
+    "f_noncoop": ((2.0,), set()),
+    "fidelity_vs_coherent": ((vacuum(1), ZERO), set()),
+    "find_classical_crossings": ((1e-12,), set()),
+    "find_threshold": ((1e-9,), set()),
+    "heterodyne_outcome_distribution": ((vacuum(2), 0), set()),
+    "heterodyne_update": ((vacuum(2), 0, ZERO), set()),
+    "homodyne_update": ((vacuum(2), 0, "x", 0.0), set()),
+    "kappa": ((2.0,), set()),
+    "make_coherent": ((ZERO,), set()),
+    "modified_shift": ((ZERO, ZERO, channel_params(2.0)), set()),
+    "partial_trace": ((vacuum(2), [0]), set()),
+    "physicality": ((0.5 * np.eye(2),), set()),
+    "run_coop_pipeline": ((2.0, ZERO, ZERO, ZERO), {2, 3}),
+    "run_noncoop_pipeline": ((2.0, ZERO, ZERO), {2}),
+    "sweep": ((0.5, 1.0, 3), set()),
+    "symplectic_form": ((1,), set()),
+    "tensor": ((vacuum(1), vacuum(1)), set()),
+    "vacuum": ((1,), set()),
+}
+BAD_ARGUMENTS = {
+    "bool": True,
+    "str": "a",
+    "None": None,
+    "nan": math.nan,
+    "inf": math.inf,
+    "ragged": [[1.0, 0.0], [0.0]],
+    "huge": 10**400,
+    "wrong-type": object(),
+}
+
+
+def test_contract_covers_every_public_name():
+    callables = {name for name in telegame.__all__ if callable(getattr(telegame, name))}
+    assert set(CONTRACT) == callables
+    assert set(telegame.__all__) - callables == {"ZERO_AMPLITUDE"}
+
+
+@pytest.mark.parametrize("name", CONTRACT)
+def test_public_name_refuses_bad_arguments_with_typed_error(name):
+    """Each bad value at each position raises a TelegameError under warnings
+    as errors, or returns where the position takes any value."""
+    call = _estimate_from_fields if name == "McConfig" else getattr(telegame, name)
+    valid, takes_any = CONTRACT[name]
+    leaks = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(*valid)
+        for pos in range(len(valid)):
+            for label, bad in BAD_ARGUMENTS.items():
+                args = list(valid)
+                args[pos] = bad
+                try:
+                    call(*args)
+                except TelegameError:
+                    continue
+                except Exception as exc:
+                    leaks.append(f"argument {pos} {label}: {type(exc).__name__}: {exc}")
+                else:
+                    if pos not in takes_any:
+                        leaks.append(f"argument {pos} {label}: returned")
+    assert not leaks, leaks
 
 
 class TestTensorAndPartialTrace:

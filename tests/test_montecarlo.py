@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,7 +29,7 @@ from telegame import (
 )
 from telegame import montecarlo, protocols
 from telegame.checks import MC_ALPHAS, compare_to_closed_forms
-from telegame.montecarlo import _CHUNK, _ShotKernel, _chunk_sums, _shot_normals
+from telegame.montecarlo import _CHUNK, _MAX_SHOTS, _MAX_WORKERS, _ShotKernel, _chunk_sums, _shot_normals
 
 from oracles import scalar_chunk_sums
 
@@ -134,6 +135,7 @@ class TestEstimator:
         assert one == estimate_fidelities(cfg)
         assert one == estimate_fidelities(cfg, workers=2)
         assert one == estimate_fidelities(cfg, workers=8)
+        assert one == estimate_fidelities(cfg, workers=_MAX_WORKERS)
 
     def test_degenerate_estimators_have_zero_spread(self):
         est = estimate_fidelities(McConfig(shots=20_000, seed=1, alpha=2.0))
@@ -206,6 +208,27 @@ class TestEstimator:
         for bad_std in ("1", None, 1 + 0j, True, np.bool_(True)):
             with pytest.raises(InvalidInputError):
                 estimate_fidelities(McConfig(shots=10, seed=1, alpha=2.0, input_ensemble_std=bad_std))
+
+    @pytest.mark.parametrize("shots, workers", [
+        (_MAX_SHOTS + 1, 1), (10**15, 1), (10, _MAX_WORKERS + 1), (10, 10**5),
+    ])
+    def test_huge_counts_are_refused_before_any_allocation(self, monkeypatch, shots, workers):
+        """A count above its bound raises before the kernel, the chunk list or
+        any thread exists."""
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("a refused count must build no kernel and start no thread")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", unavailable)
+        monkeypatch.setattr(montecarlo, "_ShotKernel", unavailable)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="shots|workers"):
+                estimate_fidelities(McConfig(shots=shots, seed=1, alpha=2.0), workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @pytest.mark.parametrize("std", [1e200, 1e308, sys.float_info.max, math.inf, math.nan, 10**400])
     def test_huge_input_ensemble_is_rejected(self, std):
