@@ -12,9 +12,10 @@ shot; only the measurer's f_ac is sampled through the records.
 Each shot's six normals come from its own counter-based stream; a chunk of
 shots is then mapped and scored as one array operation. Determinism
 contract: shot k draws from a stream derived only from (seed, k), and partial
-sums are reduced over fixed-size chunks in index order, so results are
-bit-identical for any degree of parallelism. Only the draws run per shot, and
-their state resets hold the GIL, so more workers do not run faster yet.
+sums are reduced over fixed-size chunks in index order as a fixed window of
+chunks arrives, so results are bit-identical for any degree of parallelism
+and memory is flat in shots. Only the draws run per shot, and their state
+resets hold the GIL, so more workers do not run faster yet.
 """
 
 from __future__ import annotations
@@ -47,12 +48,11 @@ _CHUNK = 4096  # reduction granularity; fixed so thread count cannot reorder sum
 # Nothing guarantees that the probed unit input gain is exactly 1; one rounding
 # (1.1e-16), scaled by sqrt(2) std, is at most 1.6e-6 per unit normal up to here.
 _MAX_ENSEMBLE_STD = 1e10
-# Before the first shot is scored, the chunk list and one future per chunk
-# hold about 1.9 kB per chunk (tracemalloc), so 10**9 shots hold about 460 MB.
-_MAX_SHOTS = 10**9
+_MAX_SHOTS = 10**9  # an input check: 10**9 shots take about an hour at 260k shots/s
 # The GIL serializes the draws, so threads beyond a few add nothing; the pool
 # starts one per submitted chunk up to this many.
 _MAX_WORKERS = 64
+_WINDOW = _MAX_WORKERS  # chunks in flight at once: one per thread, memory flat in shots
 
 
 @dataclass(frozen=True)
@@ -184,29 +184,20 @@ def estimate_fidelities(config: McConfig, workers: int = 1) -> McEstimate:
     std = require_real("input_ensemble_std", config.input_ensemble_std, 0.0, _MAX_ENSEMBLE_STD)
     kernel = _ShotKernel(config.alpha, std)
 
-    bounds = [(lo, min(lo + _CHUNK, config.shots)) for lo in range(0, config.shots, _CHUNK)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        partials = list(pool.map(lambda b: _chunk_sums(kernel, config.seed, *b), bounds))
-
+    n = config.shots
     totals = np.zeros(6)
-    for part in partials:  # chunk order, never completion order
-        totals += part
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, n, _WINDOW * _CHUNK):
+            window = range(start, min(start + _WINDOW * _CHUNK, n), _CHUNK)
+            for part in pool.map(lambda lo: _chunk_sums(kernel, config.seed, lo, min(lo + _CHUNK, n)), window):
+                totals += part  # chunk order, never completion order
     totals = totals.tolist()
 
     # Every score lies in [0, pre[i]], so the rounded mean is kept there.
-    n = config.shots
     means = [min(max(kernel.ref[i] + totals[i] / n, 0.0), kernel.pre[i]) for i in range(3)]
     stderr = [math.inf, math.inf, math.inf]
     if n > 1:
         for i in range(3):
             var = max(totals[3 + i] - totals[i] * totals[i] / n, 0.0) / (n - 1)
             stderr[i] = math.sqrt(var / n)
-    return McEstimate(
-        f_tr_hat=means[0],
-        f_ab_hat=means[1],
-        f_ac_hat=means[2],
-        stderr_tr=stderr[0],
-        stderr_ab=stderr[1],
-        stderr_ac=stderr[2],
-        shots=int(n),
-    )
+    return McEstimate(*means, *stderr, shots=int(n))

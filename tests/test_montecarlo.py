@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -29,7 +30,7 @@ from telegame import (
 )
 from telegame import montecarlo, protocols
 from telegame.checks import MC_ALPHAS, compare_to_closed_forms
-from telegame.montecarlo import _CHUNK, _MAX_SHOTS, _MAX_WORKERS, _ShotKernel, _chunk_sums, _shot_normals
+from telegame.montecarlo import _CHUNK, _MAX_SHOTS, _MAX_WORKERS, _WINDOW, _ShotKernel, _chunk_sums, _shot_normals
 
 from oracles import scalar_chunk_sums
 
@@ -136,6 +137,52 @@ class TestEstimator:
         assert one == estimate_fidelities(cfg, workers=2)
         assert one == estimate_fidelities(cfg, workers=8)
         assert one == estimate_fidelities(cfg, workers=_MAX_WORKERS)
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_chunks_are_scored_once_and_reduced_in_order(self, monkeypatch, workers):
+        """Over two full windows and a partial chunk, each chunk is scored
+        once with its own bounds, and sums that do not add associatively are
+        reduced in chunk order."""
+        n = 2 * _WINDOW * _CHUNK + 100
+        bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+
+        def sums(lo, hi):  # magnitudes from 1e-8 to 1e8, so the order shows in the bits
+            rng = np.random.default_rng([lo, hi])
+            return rng.random(6) * 10.0 ** rng.integers(-8, 9, 6)
+
+        def means(order):
+            totals = np.zeros(6)
+            for lo, hi in order:
+                totals += sums(lo, hi)
+            return [t / n for t in totals.tolist()[:3]]
+
+        scored = []
+
+        def fake_chunk_sums(kernel, seed, lo, hi):
+            scored.append((seed, lo, hi))
+            time.sleep(0.001 if lo // _CHUNK % 3 == 0 else 0.0)  # later chunks may finish first
+            return sums(lo, hi)
+
+        monkeypatch.setattr(montecarlo, "_chunk_sums", fake_chunk_sums)
+        kernel = SimpleNamespace(ref=(0.0,) * 3, pre=(math.inf,) * 3)  # the mean is the total / n
+        monkeypatch.setattr(montecarlo, "_ShotKernel", lambda alpha, std: kernel)
+        est = estimate_fidelities(McConfig(shots=n, seed=3, alpha=2.0), workers=workers)
+        assert sorted(scored) == [(3, lo, hi) for lo, hi in bounds]
+        assert [est.f_tr_hat, est.f_ab_hat, est.f_ac_hat] == means(bounds) != means(bounds[::-1])
+
+    def test_memory_does_not_grow_with_shots(self, monkeypatch):
+        """With scoring stubbed, the peak is the same at 2000 and 8000 chunks:
+        chunks go to the pool a window at a time and are reduced as they arrive."""
+        monkeypatch.setattr(montecarlo, "_chunk_sums", lambda kernel, seed, lo, hi: np.zeros(6))
+        peaks = []
+        for chunks in (2000, 8000):
+            tracemalloc.start()
+            try:
+                estimate_fidelities(McConfig(shots=chunks * _CHUNK, seed=1, alpha=2.0), workers=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 64 * 1024 and peaks[1] < 1024**2
 
     def test_degenerate_estimators_have_zero_spread(self):
         est = estimate_fidelities(McConfig(shots=20_000, seed=1, alpha=2.0))
