@@ -33,9 +33,8 @@ from .errors import InvalidInputError, require_int, require_real
 
 # Tolerances fixed by contract: covariance constructors reject asymmetry
 # above _SYM_TOL (after symmetrizing), the uncertainty check accepts
-# eigenvalues down to -max(_PHYS_TOL, _PHYS_REL * dim * max|cov|), above
-# their rounding error of a few eps * max|cov|, so boundary (pure) states
-# pass at every scale.
+# eigenvalues down to -_slack(dim, max|cov|), above their rounding error of a
+# few eps * max|cov|, so boundary (pure) states pass at every scale.
 _SYM_TOL = 1e-9
 _PHYS_TOL = 1e-9
 _PHYS_REL = 8.0 * math.ulp(1.0)  # a Python float, so comparisons give a bool
@@ -250,15 +249,18 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
     return GaussianState._trusted(len(keep), state.mean[idx], state.cov[idx[:, None], idx])
 
 
+def _slack(dim: int, scale: float) -> float:
+    """How far below zero the uncertainty check lets an eigenvalue go."""
+    return max(_PHYS_TOL, _PHYS_REL * dim * scale)
+
+
 def physicality(cov) -> bool:
     """Uncertainty-principle test: cov - (i/2) Omega must be positive semidefinite."""
     cov = _array(cov, "covariance")
     n = max(cov.shape[:1] + (2,)) // 2  # read as a state's cov; n >= 1 names a wrong shape
     cov = GaussianState(n, np.zeros(2 * n), cov).cov
-    dim = cov.shape[0]
     herm = cov - 0.5j * symplectic_form(n)
-    slack = max(_PHYS_TOL, _PHYS_REL * dim * float(np.abs(cov).max()))
-    return float(np.linalg.eigvalsh(herm).min()) >= -slack
+    return float(np.linalg.eigvalsh(herm).min()) >= -_slack(2 * n, float(np.abs(cov).max()))
 
 
 def _condition(state: GaussianState, mode: int, reads) -> GaussianState:
@@ -332,10 +334,10 @@ def fidelity_vs_coherent(state: GaussianState, amp: ComplexAmplitude) -> float:
     """Overlap of a single-mode Gaussian state with the coherent state `amp`.
 
     F = exp(-(1/2) d^T (sigma + I/2)^{-1} d) / sqrt(det(sigma + I/2)) with
-    d the mean mismatch; lies in (0, 1]. The 2x2 inverse and determinant are
-    written out in closed form. sigma must obey the single-mode uncertainty
-    bound, sigma[0, 0] > 0 and det(sigma) >= 1/4, up to the slack of
-    :func:`physicality` times the trace.
+    d the mean mismatch; lies in [0, 1] and is 0.0 only where it underflows.
+    The 2x2 inverse and determinant are written out in closed form. sigma
+    must obey the single-mode uncertainty bound, sigma[0, 0] > 0 and
+    det(sigma) >= 1/4, up to the slack of :func:`physicality` times the trace.
     """
     _instance(amp, ComplexAmplitude, "amplitude")
     if _instance(state, GaussianState, "state").modes != 1:
@@ -343,7 +345,7 @@ def fidelity_vs_coherent(state: GaussianState, amp: ComplexAmplitude) -> float:
     a, b, c, d = state.cov.ravel().tolist()
     excess = a * d - b * c - 0.25
     if excess < 0.0:  # at the bound only rounding is below it; the slack forgives that
-        excess += max(_PHYS_TOL, _PHYS_REL * 2 * max(abs(a), abs(b), abs(d))) * (a + d)
+        excess += _slack(2, max(abs(a), abs(b), abs(d))) * (a + d)
     if not (a > 0.0 and excess >= 0.0):
         raise InvalidInputError(f"covariance breaks the uncertainty bound det >= 1/4 (det {a * d - b * c:.3e})")
     a += 0.5
@@ -355,4 +357,9 @@ def fidelity_vs_coherent(state: GaussianState, amp: ComplexAmplitude) -> float:
     x = mx - _SQRT2 * amp.re
     y = my - _SQRT2 * amp.im
     quad = (d * x * x - (b + c) * x * y + a * y * y) / det
+    if not math.isfinite(quad):  # overflow: the form at the unit mismatch times its size squared
+        x, y = 0.25 * mx - 0.25 * _SQRT2 * amp.re, 0.25 * my - 0.25 * _SQRT2 * amp.im  # cannot overflow
+        size = max(abs(x), abs(y))
+        x, y = x / size, y / size
+        quad = (d / det * x * x - (b + c) / det * x * y + a / det * y * y) * size * size * 16.0
     return math.exp(-0.5 * quad) / math.sqrt(det)

@@ -692,6 +692,20 @@ class TestFidelityClosedForm:
             want = self.reference(st, amp)
             assert fidelity_vs_coherent(st, amp) == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("state, amp, want", [
+        # the mismatch 8.5e307 + 1.4e308 overflows, then 0 * inf in the cross term
+        (make_coherent(ComplexAmplitude(6e307, 0.0)), ComplexAmplitude(-1e308, 0.0), 0.0),
+        # the mismatch squared overflows, then inf - inf in the quadratic form
+        (GaussianState(1, [1e200, 1e200], [[1.0, 0.1], [0.1, 1.0]]), ZERO, 0.0),
+        # d x^2 overflows although the form, x^2 / (1e8 + 1/2), is about 1.96
+        (GaussianState(1, [1.4e4, 0.0], [[1e8, 0.0], [0.0, 1e300]]), ZERO,
+         math.exp(-0.5 * 1.4e4**2 / (1e8 + 0.5)) / math.sqrt((1e8 + 0.5) * 1e300)),
+    ], ids=["mismatch", "mismatch-squared", "form-term"])
+    def test_overflowing_mismatch_gives_the_accurate_value(self, state, amp, want):
+        """A mismatch whose form overflows is evaluated at unit size: the
+        overlap is accurate, 0.0 where it underflows, never NaN."""
+        assert fidelity_vs_coherent(state, amp) == pytest.approx(want, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("cov", [[[-0.5, 0.0], [0.0, 1.0]], [[0.5, 1.0], [1.0, 0.5]],
                                      [[-1.0, 0.0], [0.0, -1.0]]])
     def test_non_positive_sigma_rejected(self, cov):
