@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _checked_alpha
 from .errors import BracketError, InvalidInputError, require_int, require_real
 from .protocols import f_ab_coop, f_ac_coop, f_coop_avg, f_noncoop
 
@@ -36,9 +37,10 @@ class ThresholdResult:
 
 
 def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[SweepRow]:
-    """Closed-form fidelities on a uniform alpha grid, endpoints included."""
-    alpha_min, alpha_max = require_real("alpha_min", alpha_min), require_real("alpha_max", alpha_max)
-    if not (0.5 <= alpha_min < alpha_max):
+    """Closed-form fidelities on a uniform alpha grid, endpoints included; a
+    bound outside the channel's alpha domain raises DomainError before any row."""
+    alpha_min, alpha_max = _checked_alpha(alpha_min), _checked_alpha(alpha_max)
+    if not alpha_min < alpha_max:
         raise InvalidInputError(f"need 1/2 <= alpha_min < alpha_max, got [{alpha_min}, {alpha_max}]")
     require_int("steps", steps, 2, _MAX_STEPS + 1)
     rows = []

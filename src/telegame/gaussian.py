@@ -63,12 +63,9 @@ class ComplexAmplitude:
         object.__setattr__(self, "re", require_real("amplitude re", self.re))
         object.__setattr__(self, "im", require_real("amplitude im", self.im))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.re, self.im])
-
     def as_mean(self) -> np.ndarray:
         """Quadrature mean of the coherent state with this amplitude."""
-        return _SQRT2 * self.as_array()
+        return _SQRT2 * np.array([self.re, self.im])
 
     @staticmethod
     def from_mean(mean: np.ndarray) -> "ComplexAmplitude":
@@ -134,14 +131,6 @@ class GaussianState:
         mean.flags.writeable = cov.flags.writeable = False
         state.__dict__.update(modes=modes, mean=mean, cov=cov)
         return state
-
-    def mode_mean(self, mode: int) -> np.ndarray:
-        i = _check_mode(self, mode)
-        return self.mean[2 * i : 2 * i + 2]
-
-    def mode_cov(self, mode: int) -> np.ndarray:
-        i = _check_mode(self, mode)
-        return self.cov[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
 
 
 def _check_mode(state: GaussianState, mode: int) -> int:
@@ -325,9 +314,8 @@ def heterodyne_outcome_distribution(
     Returns the mean as an amplitude (mode mean divided by sqrt(2)) and the
     outcome covariance B + (1/2) I in quadrature units.
     """
-    i = _check_mode(_instance(state, GaussianState, "state"), mode)
-    q = slice(2 * i, 2 * i + 2)
-    return ComplexAmplitude.from_mean(state.mean[q]), state.cov[q, q] + 0.5 * np.eye(2)
+    reduced = partial_trace(state, [mode])
+    return ComplexAmplitude.from_mean(reduced.mean), reduced.cov + 0.5 * np.eye(2)
 
 
 def fidelity_vs_coherent(state: GaussianState, amp: ComplexAmplitude) -> float:

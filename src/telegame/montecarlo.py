@@ -40,6 +40,7 @@ from .gaussian import (
     heterodyne_update,
     homodyne_update,
     make_coherent,
+    partial_trace,
     tensor,
 )
 from .protocols import modified_shift
@@ -136,13 +137,14 @@ class _ShotKernel:
         st = homodyne_update(st, 0, "p", m[1])  # modes left: 0 = b, 1 = c
         eta = ComplexAmplitude(-m[0], m[1])
         st = displace(displace(st, 0, eta), 1, eta)
-        mu = st.mode_mean(1) + np.linalg.cholesky(heterodyne_outcome_distribution(st, 1)[1]) @ z[4:6]
+        bob, charlie = partial_trace(st, [0]), partial_trace(st, [1])
+        mu = charlie.mean + np.linalg.cholesky(heterodyne_outcome_distribution(st, 1)[1]) @ z[4:6]
         mu_amp = ComplexAmplitude.from_mean(mu)
         shift = modified_shift(eta, mu_amp, self.params)
         helped = heterodyne_update(st, 1, mu_amp)
         helped = displace(helped, 0, ComplexAmplitude(shift.re - eta.re, shift.im - eta.im))
-        mismatch = np.concatenate([st.mode_mean(0) - u, helped.mean - u, mu - u])
-        return mismatch, (st.mode_cov(0), helped.cov)
+        mismatch = np.concatenate([bob.mean - u, helped.mean - u, mu - u])
+        return mismatch, (bob.cov, helped.cov)
 
 
 def _shot_normals(seed: int, lo: int, hi: int) -> np.ndarray:

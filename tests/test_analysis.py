@@ -6,6 +6,7 @@ import pytest
 
 from telegame import (
     BracketError,
+    DomainError,
     InvalidInputError,
     f_coop_avg,
     f_noncoop,
@@ -48,12 +49,30 @@ class TestSweep:
         assert all(r.f_tr > r.f_coop for r in below)
         assert all(r.f_tr < r.f_coop for r in above)
 
-    @pytest.mark.parametrize("bad", [(0.4, 12.0, 10), (2.0, 1.0, 10), (0.5, 12.0, 1),
-                                     (0.5, math.inf, 3), (math.nan, 12.0, 3), (0.5, 12.0, 2.5),
-                                     (0.5, 12.0, True), ("a", 3, 10)])
+    @pytest.mark.parametrize("bad", [(2.0, 1.0, 10), (0.5, 12.0, 1), (0.5, 12.0, 2.5),
+                                     (0.5, 12.0, True), ("a", 3, 10), (12.0, 12.0, 3),
+                                     (0.5, True, 3), (0.5, "12", 3)])
     def test_invalid_arguments(self, bad):
         with pytest.raises(InvalidInputError):
             sweep(*bad)
+
+    @pytest.mark.parametrize("bad", [(0.4, 12.0, 10), (0.5, math.inf, 3), (math.nan, 12.0, 3)])
+    def test_bound_outside_alpha_domain(self, bad):
+        """Both bounds pass the one alpha check that every other entry point uses."""
+        with pytest.raises(DomainError):
+            sweep(*bad)
+
+    def test_bound_past_the_edge_is_refused_before_allocating(self):
+        """A grid up to 1.7e308 would build about half of its 10**6 rows
+        before the first alpha past the edge raised."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="overflows"):
+                sweep(0.5, 1.7e308, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     @pytest.mark.parametrize("steps", [10**6 + 1, 10**30, 2**63])
     def test_step_count_is_capped_before_allocating(self, steps):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from telegame import DomainError, channel_params, f_ab_coop, f_ac_coop, f_noncoop, kappa
+from telegame import DomainError, channel_params, f_ab_coop, f_ac_coop, f_noncoop, kappa, sweep
 from telegame.channel import _ALPHA_MAX
 
 RTOL = 2e-15
@@ -86,7 +86,9 @@ def test_helped_fidelity_limit():
     assert abs(f_ab_coop(1e300) - (2.0 + math.sqrt(2.0)) / 4.0) <= 1e-15
 
 
-@pytest.mark.parametrize("fn", [channel_params, kappa, f_noncoop, f_ab_coop, f_ac_coop])
+@pytest.mark.parametrize("fn", [channel_params, kappa, f_noncoop, f_ab_coop, f_ac_coop,
+                                pytest.param(lambda a: sweep(a, 1.0, 3), id="sweep-alpha-min"),
+                                pytest.param(lambda a: sweep(0.5, a, 3), id="sweep-alpha-max")])
 @pytest.mark.parametrize("alpha", [math.nextafter(_ALPHA_MAX, math.inf), 1.7e308])
 def test_past_the_edge_raises(fn, alpha):
     with pytest.raises(DomainError, match="overflows"):

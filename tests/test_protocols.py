@@ -20,6 +20,7 @@ from telegame import (
     modified_shift,
     run_coop_pipeline,
     run_noncoop_pipeline,
+    sweep,
     symplectic_form,
 )
 from telegame.gaussian import beam_splitter_matrix
@@ -78,7 +79,9 @@ class TestClosedForms:
         assert f_coop_avg(10.0) > f_noncoop(10.0)
         assert f_coop_avg(2.0) < f_noncoop(2.0)
 
-    @pytest.mark.parametrize("fn", [f_noncoop, f_ab_coop, f_ac_coop, f_coop_avg])
+    @pytest.mark.parametrize("fn", [f_noncoop, f_ab_coop, f_ac_coop, f_coop_avg,
+                                    pytest.param(lambda a: sweep(a, 12.0, 3), id="sweep-alpha-min"),
+                                    pytest.param(lambda a: sweep(0.5, a, 3), id="sweep-alpha-max")])
     def test_domain(self, fn):
         with pytest.raises(DomainError):
             fn(0.3)
