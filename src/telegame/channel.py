@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, is_real, require_real
+from .errors import DomainError, InvalidInputError, real_float, require_real
 from .gaussian import GaussianState, _instance
 
 _SWAP_TOL = 1e-12
@@ -43,12 +43,7 @@ def _checked_alpha(alpha: float) -> float:
     """alpha as a float in [1/2, _ALPHA_MAX]; InvalidInputError unless it is a
     real number, DomainError naming the edge otherwise."""
     if type(alpha) is not float:  # the closed forms' float path skips the type test
-        if not is_real(alpha):
-            raise InvalidInputError(f"alpha must be a real number, got {alpha!r}")
-        try:
-            alpha = float(alpha)
-        except OverflowError:  # an int or Fraction beyond the float range
-            alpha = math.inf if alpha > 0 else -math.inf
+        alpha = real_float("alpha", alpha)
     if 0.5 <= alpha <= _ALPHA_MAX:
         return alpha
     if not math.isfinite(alpha):

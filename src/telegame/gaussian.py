@@ -133,11 +133,6 @@ class GaussianState:
         return state
 
 
-def _check_mode(state: GaussianState, mode: int) -> int:
-    require_int("mode index", mode, 0, state.modes)
-    return int(mode)
-
-
 def _mode_slices(modes) -> np.ndarray:
     """Quadrature indices (2m, 2m + 1) of each listed mode, in order."""
     return np.array([q for m in modes for q in (2 * m, 2 * m + 1)], dtype=np.intp)
@@ -160,7 +155,7 @@ def tensor(s1: GaussianState, s2: GaussianState) -> GaussianState:
     """Joint state of two subsystems; modes of `s1` come first."""
     _instance(s1, GaussianState, "s1")
     _instance(s2, GaussianState, "s2")
-    n = s1.modes + s2.modes
+    n = require_int("modes", s1.modes + s2.modes, 1, _MAX_MODES + 1)
     mean = np.concatenate([s1.mean, s2.mean])
     cov = np.zeros((2 * n, 2 * n))
     cov[: 2 * s1.modes, : 2 * s1.modes] = s1.cov
@@ -215,7 +210,7 @@ def beam_splitter_50_50(state: GaussianState, i: int, j: int) -> GaussianState:
 
 def displace(state: GaussianState, mode: int, amp: ComplexAmplitude) -> GaussianState:
     """Shift the mean of one mode by sqrt(2)*(re, im); covariance unchanged."""
-    i = _check_mode(_instance(state, GaussianState, "state"), mode)
+    i = require_int("mode index", mode, 0, _instance(state, GaussianState, "state").modes)
     mean = state.mean.copy()
     mean[2 * i : 2 * i + 2] += _instance(amp, ComplexAmplitude, "amplitude").as_mean()
     return GaussianState._trusted(state.modes, _real_array(mean, mean.shape, "mean vector"), state.cov)
@@ -231,7 +226,7 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
     if not keep:
         raise InvalidInputError("keep list must be non-empty")
     for m in keep:
-        _check_mode(state, m)
+        require_int("mode index", m, 0, state.modes)
     if len(set(keep)) != len(keep):
         raise InvalidInputError(f"keep list has repeated modes: {keep}")
     idx = _mode_slices(keep)
@@ -256,7 +251,7 @@ def _condition(state: GaussianState, mode: int, reads) -> GaussianState:
     """Condition on reads (quadrature, added_noise, outcome) of `mode` in turn,
     each a scalar Schur complement, g = cov[:, k] / (cov[k, k] + added_noise),
     of the covariance the earlier reads left; then remove the measured mode."""
-    i = _check_mode(state, mode)
+    i = require_int("mode index", mode, 0, state.modes)
     mean, cov = state.mean, state.cov
     for quadrature, noise, outcome in reads:
         k = 2 * i + (quadrature == "p")

@@ -136,7 +136,12 @@ def _compose(gates) -> np.ndarray:
     return total
 
 
-# Neither the non-cooperative circuit nor its continuation by Charlie's
+# The non-cooperative circuit on [in, a, b, c, anc]: a balanced beam splitter
+# on (a, in), then unit-gain feedforward of the two Bell quadratures onto both
+# receivers; the ancilla stays idle. After the beam splitter mode `a` carries
+# (x_a - x_in)/sqrt(2) and mode `in` carries (p_a + p_in)/sqrt(2); announcing
+# eta = -X_minus + i P_plus and displacing by it equals these sum gates at the
+# ensemble level. Neither this circuit nor its continuation by Charlie's
 # heterodyne depends on alpha: each is built and checked once, read-only.
 _NONCOOP_SYMPLECTIC = _checked_symplectic(_compose([
     beam_splitter_matrix(_MODES, _A, _IN),
@@ -147,19 +152,6 @@ _NONCOOP_SYMPLECTIC = _checked_symplectic(_compose([
 ]), _MODES)
 _HETERODYNED_SYMPLECTIC = _checked_symplectic(beam_splitter_matrix(_MODES, _C, _ANC) @ _NONCOOP_SYMPLECTIC, _MODES)
 _NONCOOP_SYMPLECTIC.flags.writeable = _HETERODYNED_SYMPLECTIC.flags.writeable = False
-
-
-def noncoop_symplectic() -> np.ndarray:
-    """Total symplectic of the non-cooperative protocol on [in, a, b, c, anc].
-
-    Balanced beam splitter on (a, in), then unit-gain feedforward of the two
-    Bell quadratures onto both receivers; the ancilla stays idle. After the
-    beam splitter mode `a` carries (x_a - x_in)/sqrt(2) and mode `in` carries
-    (p_a + p_in)/sqrt(2); announcing eta = -X_minus + i P_plus and displacing
-    by it equals these sum gates at the ensemble level. The returned array is
-    shared and read-only.
-    """
-    return _NONCOOP_SYMPLECTIC
 
 
 def coop_symplectic(params: ChannelParams) -> np.ndarray:
@@ -214,7 +206,7 @@ def run_noncoop_pipeline(
     stays).
     """
     joint, _ = _joint_state(alpha, input_amp)
-    st = _evolve(joint, noncoop_symplectic())
+    st = _evolve(joint, _NONCOOP_SYMPLECTIC)
     return _outcome(st, partial_trace(st, [_C]), input_amp)
 
 

@@ -32,7 +32,7 @@ def _noncoop_circuit(charlie_p_gain):
 def test_charlie_gain_mutation_fails_only_the_noncoop_pipeline_check(monkeypatch):
     """Charlie's p feedforward gain in the standard circuit times 1 + 1e-6
     moves only her fidelity, by about 8e-7; verify must see it."""
-    assert _noncoop_circuit(_SQRT2).tobytes() == protocols.noncoop_symplectic().tobytes()
+    assert _noncoop_circuit(_SQRT2).tobytes() == protocols._NONCOOP_SYMPLECTIC.tobytes()
     monkeypatch.setattr(protocols, "_NONCOOP_SYMPLECTIC", _noncoop_circuit(_SQRT2 * (1 + 1e-6)))
     failed = [name for name, check in CHECKS if check() is not None]
     assert failed == ["pipeline-noncoop-matches-closed-form"]

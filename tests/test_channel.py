@@ -51,9 +51,13 @@ class TestHandBuiltParams:
     FIELDS = {"alpha": 2.0, "beta": 1.5, "gamma": 1.0, "delta": 1.5}
 
     @pytest.mark.parametrize("field", FIELDS)
-    @pytest.mark.parametrize("value", ["a", True, math.inf, math.nan], ids=["str", "bool", "inf", "nan"])
-    def test_field_must_be_finite_real(self, field, value):
-        with pytest.raises(InvalidInputError, match=f"ChannelParams.{field} must be a finite real"):
+    @pytest.mark.parametrize(
+        "value, message",
+        [("a", "a real number"), (True, "a real number"), (math.inf, "a finite real"), (math.nan, "a finite real")],
+        ids=["str", "bool", "inf", "nan"],
+    )
+    def test_field_must_be_finite_real(self, field, value, message):
+        with pytest.raises(InvalidInputError, match=f"ChannelParams.{field} must be {message}"):
             ChannelParams(**{**self.FIELDS, field: value})
 
     def test_fields_stored_as_floats(self):

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 
 import telegame
 from telegame import (
+    ChannelParams,
     ComplexAmplitude,
     GaussianState,
     InvalidInputError,
@@ -214,6 +217,28 @@ def test_invalid_input_raises_typed_error_without_warning(call, message):
     assert not caught, [str(w.message) for w in caught]
 
 
+# Every real-scalar argument converts through errors.real_float, so a value
+# that is not a real number reads the same way at each entry point.
+REAL_SCALARS = {
+    "alpha": lambda v: kappa(v),
+    "amplitude re": lambda v: ComplexAmplitude(v, 0.0),
+    "amplitude im": lambda v: ComplexAmplitude(0.0, v),
+    **{
+        f"ChannelParams.{field}": (lambda v, i=i: ChannelParams(*[v if j == i else 1.0 for j in range(4)]))
+        for i, field in enumerate(("alpha", "beta", "gamma", "delta"))
+    },
+    "homodyne outcome": lambda v: homodyne_update(vacuum(2), 0, "x", v),
+    "tol": lambda v: find_threshold(v),
+    "input_ensemble_std": lambda v: estimate_fidelities(McConfig(10, 1, 2.0, v)),
+}
+
+
+@pytest.mark.parametrize("name,call", REAL_SCALARS.items(), ids=REAL_SCALARS.keys())
+def test_non_real_scalar_reads_the_same_everywhere(name, call):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(name)} must be a real number, got '2'$"):
+        call("2")
+
+
 def test_largest_mode_count_is_served():
     assert vacuum(1000).modes == 1000
     assert physicality(0.5 * np.eye(2000))
@@ -341,6 +366,19 @@ class TestTensorAndPartialTrace:
         swapped = partial_trace(st, [1, 0])
         np.testing.assert_array_equal(swapped.mean, np.roll(st.mean, 2))
         np.testing.assert_array_equal(swapped.cov, np.roll(st.cov, 2, axis=(0, 1)))
+
+    def test_joint_mode_count_is_capped_before_allocating(self):
+        """Two states within the bound can exceed it together; unchecked,
+        tensor would build the 2002 x 2002 covariance first (32 MB)."""
+        s1, s2 = vacuum(1000), vacuum(1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="modes"):
+                tensor(s1, s2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024**2
 
     def test_keep_errors(self, rng):
         st = random_physical_state(rng, 2)

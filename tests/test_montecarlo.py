@@ -192,14 +192,18 @@ class TestEstimator:
 
     def test_estimates_need_no_pipeline(self, monkeypatch):
         """The kernel builds and passes the 3-sigma rule with every pipeline
-        run and protocol symplectic replaced by a function that raises."""
+        run and protocol symplectic replaced by a function that raises, and
+        both alpha-free circuit matrices by None, whose use raises."""
 
         def unavailable(*args, **kwargs):
             raise AssertionError("the Monte-Carlo path must not use the pipeline")
 
-        for name in ("run_noncoop_pipeline", "run_coop_pipeline", "noncoop_symplectic", "coop_symplectic"):
+        for name in ("run_noncoop_pipeline", "run_coop_pipeline", "coop_symplectic"):
             monkeypatch.setattr(protocols, name, unavailable)
             monkeypatch.setattr(montecarlo, name, unavailable, raising=False)
+        for name in ("_NONCOOP_SYMPLECTIC", "_HETERODYNED_SYMPLECTIC"):
+            monkeypatch.setattr(protocols, name, None)
+            monkeypatch.setattr(montecarlo, name, None, raising=False)
         for alpha in (0.5, 2.0, 10.0):
             est = estimate_fidelities(McConfig(shots=20_000, seed=8, alpha=alpha))
             assert all(row[-1] for row in compare_to_closed_forms(alpha, est)), alpha

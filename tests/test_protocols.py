@@ -30,10 +30,10 @@ from telegame.protocols import (
     _C,
     _HETERODYNED_SYMPLECTIC,
     _MODES,
+    _NONCOOP_SYMPLECTIC,
     _P,
     _X,
     coop_symplectic,
-    noncoop_symplectic,
     sum_gate,
 )
 
@@ -176,27 +176,26 @@ class TestFeedforwardGates:
         np.testing.assert_array_equal(sum_gate(1, 2, 0.9, q), expected)
 
     def test_noncoop_symplectic_is_shared_and_read_only(self):
-        S = noncoop_symplectic()
+        S = _NONCOOP_SYMPLECTIC
         with pytest.raises(ValueError):
             S[0, 0] = 9.0
-        assert noncoop_symplectic() is S
 
     def test_noncoop_symplectic_leaves_ancilla_idle(self):
-        S = noncoop_symplectic()
+        S = _NONCOOP_SYMPLECTIC
         anc = [2 * _ANC, 2 * _ANC + 1]
         np.testing.assert_array_equal(S[anc], np.eye(2 * _MODES)[anc])
         np.testing.assert_array_equal(S[:, anc], np.eye(2 * _MODES)[:, anc])
 
     def test_protocol_symplectics(self):
         omega = symplectic_form(_MODES)
-        for S in (noncoop_symplectic(), coop_symplectic(channel_params(2.0))):
+        for S in (_NONCOOP_SYMPLECTIC, coop_symplectic(channel_params(2.0))):
             assert np.abs(S @ omega @ S.T - omega).max() < 1e-12
 
     def test_heterodyned_circuit_is_shared_and_read_only(self):
         S = _HETERODYNED_SYMPLECTIC
         with pytest.raises(ValueError):
             S[0, 0] = 9.0
-        np.testing.assert_array_equal(S, beam_splitter_matrix(_MODES, _C, _ANC) @ noncoop_symplectic())
+        np.testing.assert_array_equal(S, beam_splitter_matrix(_MODES, _C, _ANC) @ _NONCOOP_SYMPLECTIC)
 
     def test_coop_symplectic_stays_symplectic_over_the_domain(self):
         """coop_symplectic is not checked per call; its residual stays far
