@@ -58,18 +58,15 @@ def _bisect(fn, lo: float, hi: float, tol: float) -> tuple[float, int, float, fl
     Stops at the first midpoint with |fn(mid)| <= tol whose bracket is at
     most _MAX_BRACKET wide; root lies within width / 2 of a zero of fn.
     fn is evaluated iterations + 2 times. InvalidInputError unless tol is a
-    finite real > 0; BracketError if adjacent floats or the iteration cap come first.
+    finite real > 0; BracketError unless fn(lo) * fn(hi) < 0, so a zero or NaN
+    endpoint is refused, and if adjacent floats or the iteration cap come first.
     """
     tol = require_real("tol", tol)
     if not tol > 0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
     f_lo = fn(lo)
     f_hi = fn(hi)
-    if f_lo == 0.0:
-        return lo, 0, 0.0, 0.0
-    if f_hi == 0.0:
-        return hi, 0, 0.0, 0.0
-    if f_lo * f_hi > 0.0:
+    if not f_lo * f_hi < 0.0:
         raise BracketError(f"no sign change on [{lo}, {hi}]")
     f_mid = f_lo
     for it in range(1, _MAX_ITER + 1):

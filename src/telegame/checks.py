@@ -147,11 +147,10 @@ def _check_measurer_average():
 
 def _check_kernel_matches_chain():
     rng = np.random.default_rng(20240917)
-    std = 1.3
     for alpha in MC_ALPHAS:
-        kernel = _ShotKernel(alpha, std)
+        kernel = _ShotKernel(alpha)
         for z in rng.standard_normal((10, 6)):
-            chain_z = np.concatenate([math.sqrt(2.0) * std * z[0:2], z[2:6]])
+            chain_z = np.concatenate([math.sqrt(2.0) * z[0:2], z[2:6]])
             gap = np.abs(kernel.w[4:6] @ z - kernel._chain(chain_z)[0][4:6]).max()
             if gap > 1e-12:
                 return f"measurer rows of the shot map off the chain by {gap:.3e} at alpha={alpha}"

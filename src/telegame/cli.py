@@ -73,16 +73,11 @@ def cmd_threshold(args) -> int:
 def cmd_simulate(args) -> int:
     if args.shots < 2:
         raise InvalidInputError(f"shots must be >= 2 for a standard error, got {args.shots}")
-    config = McConfig(
-        shots=args.shots, seed=args.seed, alpha=args.alpha,
-        input_ensemble_std=args.ensemble_std,
-    )
-    est = estimate_fidelities(config, workers=args.workers)
+    est = estimate_fidelities(McConfig(shots=args.shots, seed=args.seed, alpha=args.alpha), workers=args.workers)
     rows = compare_to_closed_forms(args.alpha, est)
     consistent = all(row[-1] for row in rows)
     if args.json:
-        payload = {"alpha": args.alpha, "shots": est.shots, "seed": args.seed,
-                   "ensemble_std": args.ensemble_std}
+        payload = {"alpha": args.alpha, "shots": est.shots, "seed": args.seed}
         for name, closed, hat, err, z, _ in rows:
             payload[f"{name}_closed"] = closed
             payload[f"{name}_hat"] = hat
@@ -91,8 +86,7 @@ def cmd_simulate(args) -> int:
         payload["consistent"] = consistent
         print(json.dumps(payload))
     else:
-        print(f"alpha {_fmt(args.alpha)}  shots {est.shots}  seed {args.seed}  "
-              f"ensemble_std {_fmt(args.ensemble_std)}")
+        print(f"alpha {_fmt(args.alpha)}  shots {est.shots}  seed {args.seed}")
         for name, closed, hat, err, z, ok in rows:
             verdict = "ok" if ok else "OFF>3SIGMA"
             print(f"{name}  closed={_fmt(closed)}  estimate={_fmt(hat)}  "
@@ -145,7 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--shots", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ensemble-std", type=float, default=1.0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simulate)

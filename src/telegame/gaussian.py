@@ -112,8 +112,8 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        require_int("modes", self.modes, 1, _MAX_MODES + 1)
-        dim = 2 * self.modes
+        modes = require_int("modes", self.modes, 1, _MAX_MODES + 1)
+        dim = 2 * modes
         mean = _real_array(self.mean, (dim,), "mean vector").copy()
         cov = _real_array(self.cov, (dim, dim), "covariance")
         half = 0.5 * cov  # halving first: neither the difference nor the sum overflows
@@ -122,7 +122,7 @@ class GaussianState:
             raise InvalidInputError(f"covariance asymmetry {asym:.3e} exceeds tolerance {_SYM_TOL:.0e}")
         cov = half + half.T
         mean.flags.writeable = cov.flags.writeable = False
-        self.__dict__.update(mean=mean, cov=cov)
+        self.__dict__.update(modes=modes, mean=mean, cov=cov)
 
     @classmethod
     def _trusted(cls, modes: int, mean: np.ndarray, cov: np.ndarray) -> "GaussianState":
@@ -225,8 +225,7 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
         raise InvalidInputError(f"keep must be a sequence of mode indices, got {keep!r}") from None
     if not keep:
         raise InvalidInputError("keep list must be non-empty")
-    for m in keep:
-        require_int("mode index", m, 0, state.modes)
+    keep = [require_int("mode index", m, 0, state.modes) for m in keep]
     if len(set(keep)) != len(keep):
         raise InvalidInputError(f"keep list has repeated modes: {keep}")
     idx = _mode_slices(keep)

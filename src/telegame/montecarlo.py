@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import build_cm, channel_params
-from .errors import require_int, require_real
+from .errors import require_int
 from .gaussian import (
     _SQRT2,
     ComplexAmplitude,
@@ -46,9 +46,6 @@ from .gaussian import (
 from .protocols import modified_shift
 
 _CHUNK = 4096  # reduction granularity; fixed so thread count cannot reorder sums
-# Nothing guarantees that the probed unit input gain is exactly 1; one rounding
-# (1.1e-16), scaled by sqrt(2) std, is at most 1.6e-6 per unit normal up to here.
-_MAX_ENSEMBLE_STD = 1e10
 _MAX_SHOTS = 10**9  # an input check: 10**9 shots take about an hour at 260k shots/s
 # The GIL serializes the draws, so threads beyond a few add nothing; the pool
 # starts one per submitted chunk up to this many.
@@ -63,7 +60,6 @@ class McConfig:
     shots: int
     seed: int
     alpha: float
-    input_ensemble_std: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,7 @@ class McEstimate:
 
 
 class _ShotKernel:
-    """Per-(alpha, std) trajectory math as one linear map of a shot's normals.
+    """Per-alpha trajectory math as one linear map of a shot's normals.
 
     A shot draws six standard normals z: input amplitude, Bell record,
     heterodyne record. Row pairs (0, 1), (2, 3) and (4, 5) of ``w @ z`` are
@@ -99,27 +95,26 @@ class _ShotKernel:
     state (cov = I/2) at its sampled heterodyne record, so f_ac is sampled.
     """
 
-    def __init__(self, alpha: float, std: float):
+    def __init__(self, alpha: float):
         self.params = channel_params(alpha)
         self.joint = tensor(make_coherent(ZERO_AMPLITUDE), build_cm(self.params))
         I2 = np.eye(2)
         base, covs = self._chain(np.zeros(6))
         jac = np.column_stack([self._chain(e)[0] - base for e in np.eye(6)])
 
-        # The input u = sqrt(2) std z[0:2] enters each mismatch through its
-        # total gain minus I, probed at unit input and scaled afterwards so
-        # that a zero stays zero. The references are the estimator means;
-        # per-shot sums accumulate deviations from them so the variance of
-        # the degenerate (record-averaged) samples is not lost to cancellation.
-        scale = _SQRT2 * std
+        # The input u = sqrt(2) z[0:2] enters each mismatch through its total
+        # gain minus I, probed at unit input and scaled afterwards so that a
+        # zero stays zero. The references are the estimator means; per-shot
+        # sums accumulate deviations from them so the variance of the
+        # degenerate (record-averaged) samples is not lost to cancellation.
         record = np.split(jac[:, 2:6], 3)
         sigma = [cov + 0.5 * I2 + r @ r.T for cov, r in zip((*covs, 0.5 * I2), record)]
         self.ref = tuple(1.0 / math.sqrt(np.linalg.det(s)) for s in sigma)
         self.pre = (self.ref[0], self.ref[1], 1.0)
         self.w = np.zeros((6, 6))
-        self.w[0:2, 0:2] = np.linalg.solve(np.linalg.cholesky(sigma[0]), jac[0:2, 0:2]) * scale
-        self.w[2:4, 0:2] = np.linalg.solve(np.linalg.cholesky(sigma[1]), jac[2:4, 0:2]) * scale
-        self.w[4:6] = np.hstack([jac[4:6, 0:2] * scale, record[2]])
+        self.w[0:2, 0:2] = np.linalg.solve(np.linalg.cholesky(sigma[0]), jac[0:2, 0:2]) * _SQRT2
+        self.w[2:4, 0:2] = np.linalg.solve(np.linalg.cholesky(sigma[1]), jac[2:4, 0:2]) * _SQRT2
+        self.w[4:6] = np.hstack([jac[4:6, 0:2] * _SQRT2, record[2]])
 
     def _chain(self, z: np.ndarray):
         """One shot of the conditioning chain, for input mean u = z[0:2] and
@@ -183,8 +178,7 @@ def estimate_fidelities(config: McConfig, workers: int = 1) -> McEstimate:
     require_int("shots", config.shots, 1, _MAX_SHOTS + 1)
     require_int("seed", config.seed, 0, 2**64)
     require_int("workers", workers, 1, _MAX_WORKERS + 1)
-    std = require_real("input_ensemble_std", config.input_ensemble_std, 0.0, _MAX_ENSEMBLE_STD)
-    kernel = _ShotKernel(config.alpha, std)
+    kernel = _ShotKernel(config.alpha)
 
     n = config.shots
     totals = np.zeros(6)

@@ -183,3 +183,9 @@ class TestRootFinding:
     def test_bisect_needs_bracket(self):
         with pytest.raises(BracketError):
             _bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-9)
+
+    @pytest.mark.parametrize("fn", [lambda x: x, lambda x: math.nan], ids=["zero", "nan"])
+    def test_bisect_refuses_a_zero_or_nan_endpoint(self, fn):
+        """Only a strict sign change brackets a root."""
+        with pytest.raises(BracketError, match="no sign change"):
+            _bisect(fn, 0.0, 1.0, 1e-9)

@@ -149,12 +149,12 @@ class TestSimulateCommand:
         assert out == ""
         assert "shots" in err
 
-    def test_huge_ensemble_std_exits_2(self, capsys):
-        code, out, err = run(capsys, "simulate", "--alpha", "2", "--shots", "50",
-                             "--ensemble-std", "1e308")
-        assert code == 2
-        assert out == ""
-        assert "input_ensemble_std" in err
+    def test_ensemble_std_flag_is_unknown(self, capsys):
+        """The input ensemble has unit width; no flag sets it."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--alpha", "2", "--shots", "50", "--ensemble-std", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("flag, value", [("--shots", _MAX_SHOTS + 1), ("--workers", _MAX_WORKERS + 1)])
     def test_count_beyond_its_bound_exits_2(self, capsys, flag, value):

@@ -229,7 +229,6 @@ REAL_SCALARS = {
     },
     "homodyne outcome": lambda v: homodyne_update(vacuum(2), 0, "x", v),
     "tol": lambda v: find_threshold(v),
-    "input_ensemble_std": lambda v: estimate_fidelities(McConfig(10, 1, 2.0, v)),
 }
 
 
@@ -259,7 +258,7 @@ CONTRACT = {
     "DomainError": (("message",), {0}),
     "GaussianState": ((1, np.zeros(2), 0.5 * np.eye(2)), set()),
     "InvalidInputError": (("message",), {0}),
-    "McConfig": ((10, 1, 2.0, 1.0), set()),
+    "McConfig": ((10, 1, 2.0), set()),
     "McEstimate": ((0.6, 0.7, 0.4, 0.0, 0.0, 0.01, 10), set(range(7))),
     "StrategyOutcome": ((0.6, 0.6, np.zeros(2)), {0, 1, 2}),
     "SweepRow": ((2.0, 0.6, 0.7, 0.4, 0.55), set(range(5))),
@@ -388,6 +387,14 @@ class TestTensorAndPartialTrace:
             partial_trace(st, [0, 0])
         with pytest.raises(InvalidInputError):
             partial_trace(st, [2])
+
+    def test_numpy_integer_mode_count_is_stored_as_int(self):
+        assert type(GaussianState(np.int64(1), np.zeros(2), 0.5 * np.eye(2)).modes) is int
+
+    def test_repeated_mode_message_reads_plain_ints(self):
+        st = vacuum(2)
+        with pytest.raises(InvalidInputError, match=r"^keep list has repeated modes: \[0, 0\]$"):
+            partial_trace(st, [np.int64(0), np.int64(0)])
 
 
 class TestBeamSplitter:
