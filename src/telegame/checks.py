@@ -15,7 +15,7 @@ from .analysis import find_classical_crossings, find_threshold, sweep
 from .channel import build_cm, channel_params, exchange_symmetry_check
 from .errors import DomainError
 from .gaussian import ComplexAmplitude, ZERO_AMPLITUDE, physicality
-from .montecarlo import McConfig, _ShotKernel, estimate_fidelities
+from .montecarlo import _ShotKernel, _estimate
 from .protocols import (
     f_ab_coop,
     f_ac_coop,
@@ -195,11 +195,8 @@ def _check_sweep_single_crossing():
 
 @functools.lru_cache(maxsize=1)
 def _mc_estimates():
-    results = {}
-    for alpha in MC_ALPHAS:
-        cfg = McConfig(shots=100_000, seed=42, alpha=alpha)
-        results[alpha] = estimate_fidelities(cfg)
-    return results
+    """100000 shots at seed 42 per MC_ALPHAS entry, all scored on one draw."""
+    return dict(zip(MC_ALPHAS, _estimate([_ShotKernel(a) for a in MC_ALPHAS], 100_000, 42, 1)))
 
 
 def _check_mc_consistency():
@@ -220,8 +217,8 @@ def _check_mc_outcome_spread():
 
 
 def _check_mc_determinism():
-    cfg = McConfig(shots=20_000, seed=7, alpha=2.0)
-    if estimate_fidelities(cfg) != estimate_fidelities(cfg, workers=4):
+    kernels = [_ShotKernel(a) for a in MC_ALPHAS]
+    if _estimate(kernels, 20_000, 7, 1) != _estimate(kernels, 20_000, 7, 4):
         return "estimate depends on the degree of parallelism"
     return None
 

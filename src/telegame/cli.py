@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 
 from . import __version__
 from .analysis import find_threshold, sweep
@@ -98,10 +99,12 @@ def cmd_verify(args) -> int:
     failures = []
     width = max(len(name) for name, _ in CHECKS)
     for name, check in CHECKS:
+        start = time.perf_counter()
         message = check()
+        seconds = time.perf_counter() - start
         status = "PASS" if message is None else "FAIL"
         detail = "" if message is None else f"  {message}"
-        print(f"{status}  {name:<{width}}{detail}")
+        print(f"{status}  {name:<{width}}  {seconds:.3f} s{detail}")
         if message is not None:
             failures.append(name)
     if failures:

@@ -325,23 +325,28 @@ def fidelity_vs_coherent(state: GaussianState, amp: ComplexAmplitude) -> float:
     if _instance(state, GaussianState, "state").modes != 1:
         raise InvalidInputError(f"fidelity_vs_coherent needs a single-mode state, got {state.modes}")
     a, b, c, d = state.cov.ravel().tolist()
-    excess = a * d - b * c - 0.25
+    scale = 1.0
+    if not math.isfinite(a * d - b * c):  # overflow: the 2x2 forms of sigma * scale, a power of two
+        scale = math.ldexp(1.0, -math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1])
+        a, b, c, d = a * scale, b * scale, c * scale, d * scale
+    excess = a * d - b * c - 0.25 * scale * scale
     if excess < 0.0:  # at the bound only rounding is below it; the slack forgives that
         excess += _slack(2, max(abs(a), abs(b), abs(d))) * (a + d)
     if not (a > 0.0 and excess >= 0.0):
-        raise InvalidInputError(f"covariance breaks the uncertainty bound det >= 1/4 (det {a * d - b * c:.3e})")
-    a += 0.5
-    d += 0.5
+        raise InvalidInputError(
+            f"covariance breaks the uncertainty bound det >= 1/4 (det {(a * d - b * c) / scale / scale:.3e})")
+    a += 0.5 * scale
+    d += 0.5 * scale
     det = a * d - b * c
     if not (a > 0.0 and det > 0.0):
-        raise InvalidInputError(f"cov + I/2 is not positive definite (det {det:.3e})")
+        raise InvalidInputError(f"cov + I/2 is not positive definite (det {det / scale / scale:.3e})")
     mx, my = state.mean.tolist()
     x = mx - _SQRT2 * amp.re
     y = my - _SQRT2 * amp.im
-    quad = (d * x * x - (b + c) * x * y + a * y * y) / det
+    quad = (d * x * x - (b + c) * x * y + a * y * y) / det * scale
     if not math.isfinite(quad):  # overflow: the form at the unit mismatch times its size squared
         x, y = 0.25 * mx - 0.25 * _SQRT2 * amp.re, 0.25 * my - 0.25 * _SQRT2 * amp.im  # cannot overflow
         size = max(abs(x), abs(y))
         x, y = x / size, y / size
-        quad = (d / det * x * x - (b + c) / det * x * y + a / det * y * y) * size * size * 16.0
-    return math.exp(-0.5 * quad) / math.sqrt(det)
+        quad = (d / det * x * x - (b + c) / det * x * y + a / det * y * y) * scale * size * size * 16.0
+    return math.exp(-0.5 * quad) / math.sqrt(det) * scale

@@ -16,6 +16,11 @@ sums are reduced over fixed-size chunks in index order as a fixed window of
 chunks arrives, so results are bit-identical for any degree of parallelism
 and memory is flat in shots. Only the draws run per shot, and their state
 resets hold the GIL, so more workers do not run faster yet.
+
+Several alphas that share a seed draw the same normals, so the driver can
+score many kernels on one draw (common random numbers): `verify` scores its
+four alphas that way. Each kernel's sums are reduced in chunk order from the
+values a run on its own scores, so sharing the draw changes no bit.
 """
 
 from __future__ import annotations
@@ -159,13 +164,42 @@ def _shot_normals(seed: int, lo: int, hi: int) -> np.ndarray:
     return z
 
 
-def _chunk_sums(kernel: _ShotKernel, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Sums of per-shot deviations from the references, then of their squares,
-    over shots [lo, hi). The column sums of the C-contiguous (n, 3) deviations
+def _chunk_sums(kernels, seed: int, lo: int, hi: int) -> np.ndarray:
+    """One row per kernel, all scored on one draw of the normals of shots
+    [lo, hi): sums of per-shot deviations from the kernel's references, then
+    of their squares. The column sums of the C-contiguous (n, 3) deviations
     add rows in shot order."""
-    y = _shot_normals(seed, lo, hi) @ kernel.w.T
-    d = kernel.pre * np.exp(-0.5 * (y[:, 0::2] ** 2 + y[:, 1::2] ** 2)) - kernel.ref
-    return np.concatenate([d.sum(axis=0), (d * d).sum(axis=0)])
+    z = _shot_normals(seed, lo, hi)
+    sums = np.empty((len(kernels), 6))
+    for kernel, row in zip(kernels, sums):
+        y = z @ kernel.w.T
+        d = kernel.pre * np.exp(-0.5 * (y[:, 0::2] ** 2 + y[:, 1::2] ** 2)) - kernel.ref
+        row[:3], row[3:] = d.sum(axis=0), (d * d).sum(axis=0)
+    return sums
+
+
+def _estimate(kernels, shots: int, seed: int, workers: int) -> list[McEstimate]:
+    """One estimate per kernel, all from one draw of `shots` shots; each has
+    the bits of its kernel run on its own."""
+    n = shots
+    totals = np.zeros((len(kernels), 6))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, n, _WINDOW * _CHUNK):
+            window = range(start, min(start + _WINDOW * _CHUNK, n), _CHUNK)
+            for part in pool.map(lambda lo: _chunk_sums(kernels, seed, lo, min(lo + _CHUNK, n)), window):
+                totals += part  # chunk order, never completion order
+
+    estimates = []
+    for kernel, sums in zip(kernels, totals.tolist()):
+        # Every score lies in [0, pre[i]], so the rounded mean is kept there.
+        means = [min(max(kernel.ref[i] + sums[i] / n, 0.0), kernel.pre[i]) for i in range(3)]
+        stderr = [math.inf, math.inf, math.inf]
+        if n > 1:
+            for i in range(3):
+                var = max(sums[3 + i] - sums[i] * sums[i] / n, 0.0) / (n - 1)
+                stderr[i] = math.sqrt(var / n)
+        estimates.append(McEstimate(*means, *stderr, shots=int(n)))
+    return estimates
 
 
 def estimate_fidelities(config: McConfig, workers: int = 1) -> McEstimate:
@@ -178,22 +212,4 @@ def estimate_fidelities(config: McConfig, workers: int = 1) -> McEstimate:
     require_int("shots", config.shots, 1, _MAX_SHOTS + 1)
     require_int("seed", config.seed, 0, 2**64)
     require_int("workers", workers, 1, _MAX_WORKERS + 1)
-    kernel = _ShotKernel(config.alpha)
-
-    n = config.shots
-    totals = np.zeros(6)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, n, _WINDOW * _CHUNK):
-            window = range(start, min(start + _WINDOW * _CHUNK, n), _CHUNK)
-            for part in pool.map(lambda lo: _chunk_sums(kernel, config.seed, lo, min(lo + _CHUNK, n)), window):
-                totals += part  # chunk order, never completion order
-    totals = totals.tolist()
-
-    # Every score lies in [0, pre[i]], so the rounded mean is kept there.
-    means = [min(max(kernel.ref[i] + totals[i] / n, 0.0), kernel.pre[i]) for i in range(3)]
-    stderr = [math.inf, math.inf, math.inf]
-    if n > 1:
-        for i in range(3):
-            var = max(totals[3 + i] - totals[i] * totals[i] / n, 0.0) / (n - 1)
-            stderr[i] = math.sqrt(var / n)
-    return McEstimate(*means, *stderr, shots=int(n))
+    return _estimate([_ShotKernel(config.alpha)], config.shots, config.seed, workers)[0]

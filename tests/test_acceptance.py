@@ -1,14 +1,16 @@
 """Acceptance suite: every check of the registry that `telegame verify` runs,
 plus the criteria that hold an oracle independent of the code under test."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
-from telegame import f_noncoop, find_classical_crossings
-from telegame import cli, protocols
-from telegame.checks import CHECKS
+from telegame import McConfig, estimate_fidelities, f_noncoop, find_classical_crossings
+from telegame import checks, cli, protocols
+from telegame.checks import CHECKS, MC_ALPHAS
+from telegame.montecarlo import _ShotKernel, _estimate
 from telegame.gaussian import _SQRT2, beam_splitter_matrix
 from telegame.protocols import _A, _B, _C, _IN, _MODES, _P, _X, _compose, sum_gate
 
@@ -36,6 +38,22 @@ def test_charlie_gain_mutation_fails_only_the_noncoop_pipeline_check(monkeypatch
     monkeypatch.setattr(protocols, "_NONCOOP_SYMPLECTIC", _noncoop_circuit(_SQRT2 * (1 + 1e-6)))
     failed = [name for name, check in CHECKS if check() is not None]
     assert failed == ["pipeline-noncoop-matches-closed-form"]
+
+
+def test_mc_determinism_compares_every_alpha(monkeypatch):
+    """mc-determinism compares the estimates at all of MC_ALPHAS across
+    workers: its alpha = 2 row is the single-alpha estimate, and a row that
+    moves with the workers at alpha = 10 alone fails it."""
+    rows = _estimate([_ShotKernel(alpha) for alpha in MC_ALPHAS], 20_000, 7, 4)
+    assert rows[MC_ALPHAS.index(2.0)] == estimate_fidelities(McConfig(shots=20_000, seed=7, alpha=2.0))
+
+    def worker_dependent(kernels, shots, seed, workers):
+        ests = _estimate(kernels, shots, seed, workers)
+        ests[-1] = dataclasses.replace(ests[-1], f_ac_hat=ests[-1].f_ac_hat + 1e-16 * workers)
+        return ests
+
+    monkeypatch.setattr(checks, "_estimate", worker_dependent)
+    assert dict(CHECKS)["mc-determinism"]() == "estimate depends on the degree of parallelism"
 
 
 def test_criterion_1_no_cloning_optimum():

@@ -1,4 +1,6 @@
 import json
+import re
+import time
 import warnings
 
 import pytest
@@ -211,6 +213,7 @@ class TestVerifyCommand:
         lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
         assert len(lines) == len(checks.CHECKS)
         assert all(line.startswith("PASS") for line in lines)
+        assert all(re.search(r"  \d+\.\d{3} s$", line) for line in lines)
         assert [line.split()[1] for line in lines] == [
             "noncloning-optimum",
             "threshold-bracket",
@@ -228,6 +231,19 @@ class TestVerifyCommand:
             "mc-outcome-spread",
             "mc-determinism",
         ]
+
+    def test_every_check_line_carries_its_time(self, capsys, monkeypatch):
+        """Each PASS or FAIL line gives the check's wall time in seconds after
+        its name, and a failure message after the time."""
+        registry = (("slow-pass", lambda: time.sleep(0.02)), ("quick-fail", lambda: "off by one"))
+        monkeypatch.setattr(cli, "CHECKS", registry)
+        code, out, err = run(capsys, "verify")
+        assert code == 1 and "quick-fail" in err
+        lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+        assert [re.fullmatch(r"(PASS|FAIL)  (\S+) +(\d+\.\d{3}) s(.*)", line).group(1, 2, 4) for line in lines] == [
+            ("PASS", "slow-pass", ""), ("FAIL", "quick-fail", "  off by one"),
+        ]
+        assert float(lines[0].split()[2]) >= 0.02
 
     def test_sign_mutation_is_caught(self, capsys, monkeypatch):
         """Flipping the sign of the cooperative correction must trip the

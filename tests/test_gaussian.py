@@ -746,6 +746,20 @@ class TestFidelityClosedForm:
         overlap is accurate, 0.0 where it underflows, never NaN."""
         assert fidelity_vs_coherent(state, amp) == pytest.approx(want, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("cov, mean, want", [
+        # det(sigma + I/2) overflows; the exact overlap is 1 / (1e200 + 1/2)
+        ([[1e200, 0.0], [0.0, 1e200]], [0.0, 0.0], 1e-200),
+        # a * d and b * c overflow, so their difference was NaN (mpmath, 50 digits)
+        ([[1e200, 1e199], [1e199, 1e200]], [0.0, 0.0], 1.0050378152592121e-200),
+        # the form x^2 / (1e200 + 1/2) is about 1 at the scaled determinant
+        ([[1e200, 0.0], [0.0, 1e200]], [1e100, 0.0], math.exp(-0.5) * 1e-200),
+    ], ids=["diagonal", "correlated", "mismatch"])
+    def test_overflowing_determinant_gives_the_accurate_value(self, cov, mean, want):
+        """Where the products of covariance entries overflow, the 2x2 forms
+        are evaluated at a power-of-two scale: the overlap is accurate, not
+        0.0 and not a refusal of a physical state."""
+        assert fidelity_vs_coherent(GaussianState(1, mean, cov), ZERO) == pytest.approx(want, rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("cov", [[[-0.5, 0.0], [0.0, 1.0]], [[0.5, 1.0], [1.0, 0.5]],
                                      [[-1.0, 0.0], [0.0, -1.0]]])
     def test_non_positive_sigma_rejected(self, cov):

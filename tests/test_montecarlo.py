@@ -29,7 +29,9 @@ from telegame import (
 )
 from telegame import montecarlo, protocols
 from telegame.checks import MC_ALPHAS, compare_to_closed_forms
-from telegame.montecarlo import _CHUNK, _MAX_SHOTS, _MAX_WORKERS, _WINDOW, _ShotKernel, _chunk_sums, _shot_normals
+from telegame.montecarlo import (
+    _CHUNK, _MAX_SHOTS, _MAX_WORKERS, _WINDOW, _ShotKernel, _chunk_sums, _estimate, _shot_normals,
+)
 
 from oracles import scalar_chunk_sums
 
@@ -80,7 +82,17 @@ class TestShotKernel:
         the same normals, on a full and on a partial chunk."""
         kernel = _ShotKernel(alpha)
         expected = scalar_chunk_sums(kernel.w, kernel.pre, kernel.ref, _shot_normals(5, lo, hi))
-        np.testing.assert_allclose(_chunk_sums(kernel, 5, lo, hi), expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(_chunk_sums([kernel], 5, lo, hi)[0], expected, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("lo, hi", [(0, _CHUNK), (3 * _CHUNK, 3 * _CHUNK + 1234)])
+    def test_kernels_scored_on_one_draw_keep_their_own_sums(self, lo, hi):
+        """Two kernels scored on one draw give, row for row, the bytes of
+        each kernel scored on its own."""
+        kernels = [_ShotKernel(0.5), _ShotKernel(10.0)]
+        both = _chunk_sums(kernels, 5, lo, hi)
+        assert both.shape == (2, 6)
+        for kernel, row in zip(kernels, both):
+            assert row.tobytes() == _chunk_sums([kernel], 5, lo, hi)[0].tobytes()
 
     @pytest.mark.parametrize("alpha", MC_ALPHAS)
     def test_kernel_chain_is_the_chain_of_the_rebuilt_state(self, alpha):
@@ -159,10 +171,10 @@ class TestEstimator:
 
         scored = []
 
-        def fake_chunk_sums(kernel, seed, lo, hi):
+        def fake_chunk_sums(kernels, seed, lo, hi):
             scored.append((seed, lo, hi))
             time.sleep(0.001 if lo // _CHUNK % 3 == 0 else 0.0)  # later chunks may finish first
-            return sums(lo, hi)
+            return np.array([sums(lo, hi) for _ in kernels])
 
         monkeypatch.setattr(montecarlo, "_chunk_sums", fake_chunk_sums)
         kernel = SimpleNamespace(ref=(0.0,) * 3, pre=(math.inf,) * 3)  # the mean is the total / n
@@ -174,7 +186,7 @@ class TestEstimator:
     def test_memory_does_not_grow_with_shots(self, monkeypatch):
         """With scoring stubbed, the peak is the same at 2000 and 8000 chunks:
         chunks go to the pool a window at a time and are reduced as they arrive."""
-        monkeypatch.setattr(montecarlo, "_chunk_sums", lambda kernel, seed, lo, hi: np.zeros(6))
+        monkeypatch.setattr(montecarlo, "_chunk_sums", lambda kernels, seed, lo, hi: np.zeros((len(kernels), 6)))
         peaks = []
         for chunks in (2000, 8000):
             tracemalloc.start()
@@ -184,6 +196,17 @@ class TestEstimator:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + 64 * 1024 and peaks[1] < 1024**2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_draw_keeps_every_estimate(self, monkeypatch, workers):
+        """verify's alphas scored on one draw give, field for field, the
+        estimate of each alpha run on its own: over 5 full chunks and a
+        partial one, with windows of 2 chunks so that three are crossed."""
+        monkeypatch.setattr(montecarlo, "_WINDOW", 2)
+        shots = 5 * _CHUNK + 777
+        shared = _estimate([_ShotKernel(alpha) for alpha in MC_ALPHAS], shots, 13, workers)
+        for alpha, est in zip(MC_ALPHAS, shared):
+            assert est == estimate_fidelities(McConfig(shots=shots, seed=13, alpha=alpha), workers=workers)
 
     def test_degenerate_estimators_have_zero_spread(self):
         est = estimate_fidelities(McConfig(shots=20_000, seed=1, alpha=2.0))
