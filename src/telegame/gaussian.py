@@ -326,7 +326,7 @@ def fidelity_vs_coherent(state: GaussianState, amp: ComplexAmplitude) -> float:
         raise InvalidInputError(f"fidelity_vs_coherent needs a single-mode state, got {state.modes}")
     a, b, c, d = state.cov.ravel().tolist()
     scale = 1.0
-    if not math.isfinite(a * d - b * c):  # overflow: the 2x2 forms of sigma * scale, a power of two
+    if not math.isfinite(a * d - b * c):  # overflow: the 2x2 forms below read sigma * scale, a power of two
         scale = math.ldexp(1.0, -math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1])
         a, b, c, d = a * scale, b * scale, c * scale, d * scale
     excess = a * d - b * c - 0.25 * scale * scale

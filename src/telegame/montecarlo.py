@@ -164,7 +164,7 @@ def _shot_normals(seed: int, lo: int, hi: int) -> np.ndarray:
     return z
 
 
-def _chunk_sums(kernels, seed: int, lo: int, hi: int) -> np.ndarray:
+def _chunk_sums(kernels: list[_ShotKernel], seed: int, lo: int, hi: int) -> np.ndarray:
     """One row per kernel, all scored on one draw of the normals of shots
     [lo, hi): sums of per-shot deviations from the kernel's references, then
     of their squares. The column sums of the C-contiguous (n, 3) deviations
@@ -178,7 +178,7 @@ def _chunk_sums(kernels, seed: int, lo: int, hi: int) -> np.ndarray:
     return sums
 
 
-def _estimate(kernels, shots: int, seed: int, workers: int) -> list[McEstimate]:
+def _estimate(kernels: list[_ShotKernel], shots: int, seed: int, workers: int) -> list[McEstimate]:
     """One estimate per kernel, all from one draw of `shots` shots; each has
     the bits of its kernel run on its own."""
     n = shots
@@ -188,7 +188,6 @@ def _estimate(kernels, shots: int, seed: int, workers: int) -> list[McEstimate]:
             window = range(start, min(start + _WINDOW * _CHUNK, n), _CHUNK)
             for part in pool.map(lambda lo: _chunk_sums(kernels, seed, lo, min(lo + _CHUNK, n)), window):
                 totals += part  # chunk order, never completion order
-
     estimates = []
     for kernel, sums in zip(kernels, totals.tolist()):
         # Every score lies in [0, pre[i]], so the rounded mean is kept there.

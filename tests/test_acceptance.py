@@ -10,8 +10,8 @@ import pytest
 from telegame import McConfig, estimate_fidelities, f_noncoop, find_classical_crossings
 from telegame import checks, cli, protocols
 from telegame.checks import CHECKS, MC_ALPHAS
-from telegame.montecarlo import _ShotKernel, _estimate
 from telegame.gaussian import _SQRT2, beam_splitter_matrix
+from telegame.montecarlo import _ShotKernel, _estimate
 from telegame.protocols import _A, _B, _C, _IN, _MODES, _P, _X, _compose, sum_gate
 
 
