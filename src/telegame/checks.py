@@ -145,10 +145,15 @@ def _check_measurer_average():
     return _pipeline_mismatch(run_coop_pipeline, (("fidelity_charlie", f_ac_coop),), cases)
 
 
+@functools.lru_cache(maxsize=1)
+def _mc_kernels():
+    """One shot kernel per MC_ALPHAS entry, built once for every Monte-Carlo check."""
+    return tuple(_ShotKernel(a) for a in MC_ALPHAS)
+
+
 def _check_kernel_matches_chain():
     rng = np.random.default_rng(20240917)
-    for alpha in MC_ALPHAS:
-        kernel = _ShotKernel(alpha)
+    for alpha, kernel in zip(MC_ALPHAS, _mc_kernels()):
         for z in rng.standard_normal((10, 6)):
             chain_z = np.concatenate([math.sqrt(2.0) * z[0:2], z[2:6]])
             gap = np.abs(kernel.w[4:6] @ z - kernel._chain(chain_z)[0][4:6]).max()
@@ -196,7 +201,7 @@ def _check_sweep_single_crossing():
 @functools.lru_cache(maxsize=1)
 def _mc_estimates():
     """100000 shots at seed 42 per MC_ALPHAS entry, all scored on one draw."""
-    return dict(zip(MC_ALPHAS, _estimate([_ShotKernel(a) for a in MC_ALPHAS], 100_000, 42, 1)))
+    return dict(zip(MC_ALPHAS, _estimate(_mc_kernels(), 100_000, 42, 1)))
 
 
 def _check_mc_consistency():
@@ -217,8 +222,7 @@ def _check_mc_outcome_spread():
 
 
 def _check_mc_determinism():
-    kernels = [_ShotKernel(a) for a in MC_ALPHAS]
-    if _estimate(kernels, 20_000, 7, 1) != _estimate(kernels, 20_000, 7, 4):
+    if _estimate(_mc_kernels(), 20_000, 7, 1) != _estimate(_mc_kernels(), 20_000, 7, 4):
         return "estimate depends on the degree of parallelism"
     return None
 

@@ -259,6 +259,7 @@ class TestVerifyCommand:
         monkeypatch.setattr("telegame.protocols.modified_shift", flipped)
         code, out, err = run(capsys, "verify")
         checks._mc_estimates.cache_clear()  # drop results computed with the mutation
+        checks._mc_kernels.cache_clear()
         assert code == 1
         failing = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert any("pipeline-fab-matches-closed-form" in line for line in failing)

@@ -75,6 +75,18 @@ class TestShotKernel:
         fresh = np.random.Generator(np.random.Philox(key=99, counter=[0, shot, 0, 0]))
         assert z.tobytes() == fresh.standard_normal(6).tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("lo, hi", [(0, _CHUNK), (_MAX_SHOTS - _MAX_SHOTS % _CHUNK, _MAX_SHOTS)])
+    def test_every_row_is_its_fresh_shot_stream_at_the_edges(self, seed, lo, hi):
+        """Every row of the first chunk and of the last chunk below the shot
+        cap is its shot's fresh Philox stream, at the ends of the seed range:
+        the reset carries the key's full 64 bits and large counters."""
+        fresh = np.array([
+            np.random.Generator(np.random.Philox(key=seed, counter=[0, shot, 0, 0])).standard_normal(6)
+            for shot in range(lo, hi)
+        ])
+        assert _shot_normals(seed, lo, hi).tobytes() == fresh.tobytes()
+
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
     @pytest.mark.parametrize("lo, hi", [(0, _CHUNK), (3 * _CHUNK, 3 * _CHUNK + 1234)])
     def test_chunk_scoring_matches_scalar_loop(self, alpha, lo, hi):
