@@ -4,7 +4,9 @@ The file holds float-hex values of the three closed forms on `checks.GRID`,
 every field of both pipelines on `checks.random_tuples(100)`,
 `sweep(0.5, 12, 200)`, `find_threshold(1e-9)`, `find_classical_crossings()`
 and `estimate_fidelities` at `checks.MC_ALPHAS` (seed 7, 20000 shots) at one
-and two workers. A change that moves a number on purpose regenerates the file
+and two workers. Two edges of the estimator are pinned too: one shot at each
+of `MC_ALPHAS` (seed 7; every stderr infinite), and 2000 shots at alpha = 8e6
+(seed 0), where every measurer shot scores 0 and f_ac is clamped. A change that moves a number on purpose regenerates the file
 and names every value that moved:
 
     PYTHONPATH=src python tests/test_pinned_numbers.py --regenerate
@@ -57,6 +59,8 @@ def current_numbers() -> dict:
         ]
         for workers in (1, 2)
     }
+    mc["shots=1"] = [astuple(estimate_fidelities(McConfig(shots=1, seed=7, alpha=alpha))) for alpha in MC_ALPHAS]
+    mc["alpha=8e6"] = astuple(estimate_fidelities(McConfig(shots=2000, seed=0, alpha=8e6)))
     numbers = {
         "closed_forms": {fn.__name__: [fn(a) for a in grid] for fn in (f_noncoop, f_ab_coop, f_ac_coop)},
         "noncoop_pipeline": [_pipeline_fields(run_noncoop_pipeline(a, amp, eta)) for a, amp, eta, _ in tuples],
