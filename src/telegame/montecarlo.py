@@ -6,8 +6,9 @@ is scored against the input with the same overlap the analytic path uses.
 All three fidelities come from one conditioning chain built from the Gaussian
 primitives (Bell homodynes, displacement, heterodyne conditioning and the
 modified shift), never from the pipelines' symplectics or covariances. The
-receivers score their record-averaged state, so f_tr and f_ab are exact per
-shot; only the measurer's f_ac is sampled through the records.
+receivers score their record-averaged state, so f_tr and f_ab are exact: each
+kernel computes them once, and no shot scores them. A shot scores only the
+measurer's f_ac, the one fidelity sampled through the records.
 
 Each shot's six normals come from its own counter-based stream; a chunk of
 shots is then mapped and scored as one array operation. Determinism
@@ -90,16 +91,18 @@ class _ShotKernel:
     """Per-alpha trajectory math as one linear map of a shot's normals.
 
     A shot draws six standard normals z: input amplitude, Bell record,
-    heterodyne record. Row pairs (0, 1), (2, 3) and (4, 5) of ``w @ z`` are
-    the whitened mean mismatches y_k of the non-cooperative receiver, the
-    helped receiver and the measurer's reconstruction; fidelity k is the
-    Gaussian overlap ``pre[k] * exp(-|y_k|^2 / 2)``. Every row block is probed
-    from the one conditioning chain :meth:`_chain` of ``joint`` (a zero input
-    beside the channel of ``params``), which is affine in z. The
-    two receivers score their record-averaged state: the record columns R of
+    heterodyne record. ``w @ z`` is the measurer's mean mismatch y, its
+    reconstruction at the sampled heterodyne record minus the input, and
+    f_ac's score is ``exp(-|y|^2 / 2)`` (a coherent state against a coherent
+    input). ``jac`` holds all six mismatch rows, probed from the one
+    conditioning chain :meth:`_chain` of ``joint`` (a zero input beside the
+    channel of ``params``), which is affine in z: the non-cooperative
+    receiver, the helped receiver and the measurer, in that order. The two
+    receivers score their record-averaged state: the record columns R of
     their mismatch fold into its covariance, sigma = cov + I/2 + R R^T, so
-    f_tr and f_ab are exact per shot. The measurer reconstructs a coherent
-    state (cov = I/2) at its sampled heterodyne record, so f_ac is sampled.
+    f_tr and f_ab are exact and ``ref[0]``, ``ref[1]`` are their values; no
+    shot scores them. ``ref[2]`` is f_ac's mean, from which its per-shot
+    deviations are summed.
     """
 
     def __init__(self, alpha: float):
@@ -107,21 +110,17 @@ class _ShotKernel:
         self.joint = tensor(make_coherent(ZERO_AMPLITUDE), build_cm(self.params))
         I2 = np.eye(2)
         base, covs = self._chain(np.zeros(6))
-        jac = np.column_stack([self._chain(e)[0] - base for e in np.eye(6)])
+        self.jac = np.column_stack([self._chain(e)[0] - base for e in np.eye(6)])
 
         # The input u = sqrt(2) z[0:2] enters each mismatch through its total
         # gain minus I, probed at unit input and scaled afterwards so that a
         # zero stays zero. The references are the estimator means; per-shot
-        # sums accumulate deviations from them so the variance of the
-        # degenerate (record-averaged) samples is not lost to cancellation.
-        record = np.split(jac[:, 2:6], 3)
+        # sums accumulate deviations from f_ac's so its variance is not lost
+        # to cancellation.
+        record = np.split(self.jac[:, 2:6], 3)
         sigma = [cov + 0.5 * I2 + r @ r.T for cov, r in zip((*covs, 0.5 * I2), record)]
         self.ref = tuple(1.0 / math.sqrt(np.linalg.det(s)) for s in sigma)
-        self.pre = (self.ref[0], self.ref[1], 1.0)
-        self.w = np.zeros((6, 6))
-        self.w[0:2, 0:2] = np.linalg.solve(np.linalg.cholesky(sigma[0]), jac[0:2, 0:2]) * _SQRT2
-        self.w[2:4, 0:2] = np.linalg.solve(np.linalg.cholesky(sigma[1]), jac[2:4, 0:2]) * _SQRT2
-        self.w[4:6] = np.hstack([jac[4:6, 0:2] * _SQRT2, record[2]])
+        self.w = np.hstack([self.jac[4:6, 0:2] * _SQRT2, record[2]])
 
     def _chain(self, z: np.ndarray):
         """One shot of the conditioning chain, for input mean u = z[0:2] and
@@ -175,38 +174,38 @@ def _shot_normals(seed: int, lo: int, hi: int) -> np.ndarray:
 
 def _chunk_sums(kernels: Sequence[_ShotKernel], seed: int, lo: int, hi: int) -> np.ndarray:
     """One row per kernel, all scored on one draw of the normals of shots
-    [lo, hi): sums of per-shot deviations from the kernel's references, then
-    of their squares. The column sums of the C-contiguous (n, 3) deviations
-    add rows in shot order."""
+    [lo, hi): the sum of f_ac's per-shot deviations from its reference, then
+    of their squares. Summing the C-contiguous (n, 2) array of both over
+    axis 0 adds its rows in shot order; a 1-D sum would add pairwise, in
+    another order and so to other bits."""
     z = _shot_normals(seed, lo, hi)
-    sums = np.empty((len(kernels), 6))
+    sums = np.empty((len(kernels), 2))
     for kernel, row in zip(kernels, sums):
         y = z @ kernel.w.T
-        d = kernel.pre * np.exp(-0.5 * (y[:, 0::2] ** 2 + y[:, 1::2] ** 2)) - kernel.ref
-        row[:3], row[3:] = d.sum(axis=0), (d * d).sum(axis=0)
+        d = np.exp(-0.5 * (y[:, 0] ** 2 + y[:, 1] ** 2)) - kernel.ref[2]
+        row[:] = np.column_stack([d, d * d]).sum(axis=0)
     return sums
 
 
 def _estimate(kernels: Sequence[_ShotKernel], shots: int, seed: int, workers: int) -> list[McEstimate]:
     """One estimate per kernel, all from one draw of `shots` shots; each has
-    the bits of its kernel run on its own."""
+    the bits of its kernel run on its own. f_tr and f_ab are the kernel's
+    exact values, with no spread once there are two shots."""
     n = shots
-    totals = np.zeros((len(kernels), 6))
+    totals = np.zeros((len(kernels), 2))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for start in range(0, n, _WINDOW * _CHUNK):
             window = range(start, min(start + _WINDOW * _CHUNK, n), _CHUNK)
             for part in pool.map(lambda lo: _chunk_sums(kernels, seed, lo, min(lo + _CHUNK, n)), window):
                 totals += part  # chunk order, never completion order
     estimates = []
-    for kernel, sums in zip(kernels, totals.tolist()):
-        # Every score lies in [0, pre[i]], so the rounded mean is kept there.
-        means = [min(max(kernel.ref[i] + sums[i] / n, 0.0), kernel.pre[i]) for i in range(3)]
-        stderr = [math.inf, math.inf, math.inf]
+    for kernel, (s, q) in zip(kernels, totals.tolist()):
+        # Every score lies in [0, 1], so the rounded mean is kept there.
+        f_ac = min(max(kernel.ref[2] + s / n, 0.0), 1.0)
+        exact, sampled = math.inf, math.inf
         if n > 1:
-            for i in range(3):
-                var = max(sums[3 + i] - sums[i] * sums[i] / n, 0.0) / (n - 1)
-                stderr[i] = math.sqrt(var / n)
-        estimates.append(McEstimate(*means, *stderr, shots=int(n)))
+            exact, sampled = 0.0, math.sqrt(max(q - s * s / n, 0.0) / (n - 1) / n)
+        estimates.append(McEstimate(kernel.ref[0], kernel.ref[1], f_ac, exact, exact, sampled, shots=int(n)))
     return estimates
 
 

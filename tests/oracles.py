@@ -62,16 +62,14 @@ def two_mode_teleport_fidelity(A, B, C) -> float:
     return float(1.0 / math.sqrt(np.linalg.det(gamma)))
 
 
-def scalar_chunk_sums(w, pre, ref, normals):
+def scalar_chunk_sums(w, ref_ac, normals):
     """The estimator's chunk sums shot by shot: each row z of `normals` is
-    mapped by ``w @ z`` and scored with ``math.exp``, and the deviations from
-    `ref` and their squares are summed in shot order."""
-    s = [0.0, 0.0, 0.0]
-    q = [0.0, 0.0, 0.0]
+    mapped by the measurer's 2-row ``w @ z`` and scored with ``math.exp``, and
+    the deviations from `ref_ac` and their squares are summed in shot order."""
+    s = q = 0.0
     for z in normals:
-        y = (w @ z).tolist()
-        for k in range(3):
-            d = pre[k] * math.exp(-0.5 * (y[2 * k] * y[2 * k] + y[2 * k + 1] * y[2 * k + 1])) - ref[k]
-            s[k] += d
-            q[k] += d * d
-    return s + q
+        y0, y1 = (w @ z).tolist()
+        d = math.exp(-0.5 * (y0 * y0 + y1 * y1)) - ref_ac
+        s += d
+        q += d * d
+    return [s, q]

@@ -5,6 +5,7 @@ import dataclasses
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from telegame import McConfig, estimate_fidelities, f_noncoop, find_classical_crossings
@@ -38,6 +39,28 @@ def test_charlie_gain_mutation_fails_only_the_noncoop_pipeline_check(monkeypatch
     monkeypatch.setattr(protocols, "_NONCOOP_SYMPLECTIC", _noncoop_circuit(_SQRT2 * (1 + 1e-6)))
     failed = [name for name, check in CHECKS if check() is not None]
     assert failed == ["pipeline-noncoop-matches-closed-form"]
+
+
+def test_receiver_input_gain_mutation_fails_only_the_outcome_spread_check(monkeypatch):
+    """Both receivers' mismatches taken against (1 + 1e-7) u in the
+    Monte-Carlo chain: a gain off unity that moves their scores only by about
+    1e-14, so no estimate can show it; mc-outcome-spread reads the input
+    columns themselves and must."""
+    chain = _ShotKernel._chain
+
+    def mutated(self, z):
+        mismatch, covs = chain(self, z)
+        return mismatch - 1e-7 * np.concatenate([z[0:2], z[0:2], [0.0, 0.0]]), covs
+
+    monkeypatch.setattr(_ShotKernel, "_chain", mutated)
+    checks._mc_kernels.cache_clear()
+    checks._mc_estimates.cache_clear()
+    try:
+        failed = [name for name, check in CHECKS if check() is not None]
+    finally:
+        checks._mc_kernels.cache_clear()  # drop kernels built with the mutation
+        checks._mc_estimates.cache_clear()
+    assert failed == ["mc-outcome-spread"]
 
 
 def test_mc_determinism_compares_every_alpha(monkeypatch):

@@ -64,7 +64,7 @@ class TestShotKernel:
         estimate. 0.5248602503498518 is where an earlier build of this map
         probed a unit gain one rounding off 1."""
         for alpha in [*MC_ALPHAS, 0.5248602503498518, *np.geomspace(0.5, 1e7, 61).tolist()]:
-            assert not _ShotKernel(alpha).w[:, 0:2].any(), alpha
+            assert not _ShotKernel(alpha).jac[:, 0:2].any(), alpha
 
     @pytest.mark.parametrize("shot", [0, _CHUNK - 1, _CHUNK, 12345])
     def test_chunk_loop_draws_fresh_shot_stream(self, shot):
@@ -93,7 +93,8 @@ class TestShotKernel:
         """The array-scored chunk sums equal a shot-by-shot scalar loop over
         the same normals, on a full and on a partial chunk."""
         kernel = _ShotKernel(alpha)
-        expected = scalar_chunk_sums(kernel.w, kernel.pre, kernel.ref, _shot_normals(5, lo, hi))
+        assert kernel.w.shape == (2, 6)
+        expected = scalar_chunk_sums(kernel.w, kernel.ref[2], _shot_normals(5, lo, hi))
         np.testing.assert_allclose(_chunk_sums([kernel], 5, lo, hi)[0], expected, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("lo, hi", [(0, _CHUNK), (3 * _CHUNK, 3 * _CHUNK + 1234)])
@@ -102,7 +103,7 @@ class TestShotKernel:
         each kernel scored on its own."""
         kernels = [_ShotKernel(0.5), _ShotKernel(10.0)]
         both = _chunk_sums(kernels, 5, lo, hi)
-        assert both.shape == (2, 6)
+        assert both.shape == (2, 2)
         for kernel, row in zip(kernels, both):
             assert row.tobytes() == _chunk_sums([kernel], 5, lo, hi)[0].tobytes()
 
@@ -121,7 +122,7 @@ class TestShotKernel:
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
     def test_linear_map_matches_conditioning_chain(self, alpha):
-        """Rows 4-5 of w @ z are the measurer's mismatch mu - u reached step
+        """w @ z is the measurer's mismatch mu - u reached step
         by step: Bell record from the beam-split input state, both Bell
         homodynes, the displacement by eta, then the heterodyne draw."""
         w = _ShotKernel(alpha).w
@@ -136,7 +137,7 @@ class TestShotKernel:
             st = homodyne_update(homodyne_update(st, 1, "x", m[0]), 0, "p", m[1])
             measurer = partial_trace(displace(st, 1, ComplexAmplitude(-m[0], m[1])), [1])
             mu = measurer.mean + np.linalg.cholesky(measurer.cov + 0.5 * np.eye(2)) @ z[4:6]
-            np.testing.assert_allclose(w[4:6] @ z, mu - u, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(w @ z, mu - u, rtol=0, atol=1e-12)
 
 
 class TestEstimator:
@@ -171,15 +172,16 @@ class TestEstimator:
         n = 2 * _WINDOW * _CHUNK + 100
         bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
 
-        def sums(lo, hi):  # magnitudes from 1e-8 to 1e8, so the order shows in the bits
+        def sums(lo, hi):  # magnitudes from 1e-16 to 1, so the order shows in the bits
             rng = np.random.default_rng([lo, hi])
-            return rng.random(6) * 10.0 ** rng.integers(-8, 9, 6)
+            return rng.random(2) * 10.0 ** rng.integers(-16, 1, 2)
 
-        def means(order):
-            totals = np.zeros(6)
+        def f_ac_and_stderr(order):
+            totals = np.zeros(2)
             for lo, hi in order:
                 totals += sums(lo, hi)
-            return [t / n for t in totals.tolist()[:3]]
+            s, q = totals.tolist()
+            return [s / n, math.sqrt(max(q - s * s / n, 0.0) / (n - 1) / n)]
 
         scored = []
 
@@ -189,16 +191,17 @@ class TestEstimator:
             return np.array([sums(lo, hi) for _ in kernels])
 
         monkeypatch.setattr(montecarlo, "_chunk_sums", fake_chunk_sums)
-        kernel = SimpleNamespace(ref=(0.0,) * 3, pre=(math.inf,) * 3)  # the mean is the total / n
+        kernel = SimpleNamespace(ref=(0.25, 0.5, 0.0))  # f_ac's mean is the total / n
         monkeypatch.setattr(montecarlo, "_ShotKernel", lambda alpha: kernel)
         est = estimate_fidelities(McConfig(shots=n, seed=3, alpha=2.0), workers=workers)
         assert sorted(scored) == [(3, lo, hi) for lo, hi in bounds]
-        assert [est.f_tr_hat, est.f_ab_hat, est.f_ac_hat] == means(bounds) != means(bounds[::-1])
+        assert [est.f_ac_hat, est.stderr_ac] == f_ac_and_stderr(bounds) != f_ac_and_stderr(bounds[::-1])
+        assert (est.f_tr_hat, est.f_ab_hat, est.stderr_tr, est.stderr_ab) == (0.25, 0.5, 0.0, 0.0)
 
     def test_memory_does_not_grow_with_shots(self, monkeypatch):
         """With scoring stubbed, the peak is the same at 2000 and 8000 chunks:
         chunks go to the pool a window at a time and are reduced as they arrive."""
-        monkeypatch.setattr(montecarlo, "_chunk_sums", lambda kernels, seed, lo, hi: np.zeros((len(kernels), 6)))
+        monkeypatch.setattr(montecarlo, "_chunk_sums", lambda kernels, seed, lo, hi: np.zeros((len(kernels), 2)))
         peaks = []
         for chunks in (2000, 8000):
             tracemalloc.start()
@@ -221,10 +224,12 @@ class TestEstimator:
             assert est == estimate_fidelities(McConfig(shots=shots, seed=13, alpha=alpha), workers=workers)
 
     def test_degenerate_estimators_have_zero_spread(self):
+        """f_tr and f_ab are the kernel's exact values, bit for bit, with no
+        spread; all statistical error sits in f_ac."""
         est = estimate_fidelities(McConfig(shots=20_000, seed=1, alpha=2.0))
-        assert est.stderr_tr * math.sqrt(est.shots) < 1e-9
-        assert est.stderr_ab * math.sqrt(est.shots) < 1e-9
-        assert est.stderr_ac > 1e-5  # all statistical error sits in f_ac
+        assert (est.f_tr_hat, est.f_ab_hat) == _ShotKernel(2.0).ref[0:2]
+        assert (est.stderr_tr, est.stderr_ab) == (0.0, 0.0)
+        assert est.stderr_ac > 1e-5
 
     def test_estimates_need_no_pipeline(self, monkeypatch):
         """The kernel builds and passes the 3-sigma rule with every pipeline
