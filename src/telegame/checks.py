@@ -213,11 +213,9 @@ def _check_mc_consistency():
 
 
 def _check_mc_outcome_spread():
-    """Every strategy runs at unit gain, so no mismatch moves with the input:
-    the receivers' record-averaged f_tr and f_ab are exact for every coherent
-    input, and f_ac spreads through the records alone. An input column off
-    zero by e would move a score only by about e**2, so the columns are read
-    themselves, and must be exact zeros."""
+    # Unit gain: no mismatch moves with the input, so the record-averaged f_tr
+    # and f_ab hold for every coherent input. A gain off by e moves a score by
+    # about e**2, so the input columns themselves must be exact zeros.
     for alpha, kernel in zip(MC_ALPHAS, _mc_kernels()):
         gain = np.abs(kernel.jac[:, 0:2]).max()
         if gain != 0.0:

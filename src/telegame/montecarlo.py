@@ -6,9 +6,8 @@ is scored against the input with the same overlap the analytic path uses.
 All three fidelities come from one conditioning chain built from the Gaussian
 primitives (Bell homodynes, displacement, heterodyne conditioning and the
 modified shift), never from the pipelines' symplectics or covariances. The
-receivers score their record-averaged state, so f_tr and f_ab are exact: each
-kernel computes them once, and no shot scores them. A shot scores only the
-measurer's f_ac, the one fidelity sampled through the records.
+receivers score their record-averaged state, so f_tr and f_ab are exact and
+read once per kernel; each shot scores only the measurer's sampled f_ac.
 
 Each shot's six normals come from its own counter-based stream; a chunk of
 shots is then mapped and scored as one array operation. Determinism
@@ -91,18 +90,16 @@ class _ShotKernel:
     """Per-alpha trajectory math as one linear map of a shot's normals.
 
     A shot draws six standard normals z: input amplitude, Bell record,
-    heterodyne record. ``w @ z`` is the measurer's mean mismatch y, its
-    reconstruction at the sampled heterodyne record minus the input, and
-    f_ac's score is ``exp(-|y|^2 / 2)`` (a coherent state against a coherent
-    input). ``jac`` holds all six mismatch rows, probed from the one
-    conditioning chain :meth:`_chain` of ``joint`` (a zero input beside the
-    channel of ``params``), which is affine in z: the non-cooperative
-    receiver, the helped receiver and the measurer, in that order. The two
-    receivers score their record-averaged state: the record columns R of
-    their mismatch fold into its covariance, sigma = cov + I/2 + R R^T, so
-    f_tr and f_ab are exact and ``ref[0]``, ``ref[1]`` are their values; no
-    shot scores them. ``ref[2]`` is f_ac's mean, from which its per-shot
-    deviations are summed.
+    heterodyne record. ``w @ z`` is the measurer's mean mismatch y (its
+    sampled heterodyne record minus the input), and f_ac's score is
+    ``exp(-|y|^2 / 2)``. ``jac`` holds the mismatch rows of the
+    non-cooperative receiver, the helped receiver and the measurer, probed
+    from the one conditioning chain :meth:`_chain` of ``joint`` (a zero input
+    beside the channel of ``params``), which is affine in z. The two receivers
+    score their record-averaged state: the record columns R of their mismatch
+    fold into its covariance, sigma = cov + I/2 + R R^T, so f_tr and f_ab are
+    exact, ``ref[0]`` and ``ref[1]``, and no shot scores them. ``ref[2]`` is
+    f_ac's mean.
     """
 
     def __init__(self, alpha: float):
@@ -114,9 +111,8 @@ class _ShotKernel:
 
         # The input u = sqrt(2) z[0:2] enters each mismatch through its total
         # gain minus I, probed at unit input and scaled afterwards so that a
-        # zero stays zero. The references are the estimator means; per-shot
-        # sums accumulate deviations from f_ac's so its variance is not lost
-        # to cancellation.
+        # zero stays zero. f_ac's shots are summed as deviations from ref[2],
+        # so that its variance is not lost to cancellation.
         record = np.split(self.jac[:, 2:6], 3)
         sigma = [cov + 0.5 * I2 + r @ r.T for cov, r in zip((*covs, 0.5 * I2), record)]
         self.ref = tuple(1.0 / math.sqrt(np.linalg.det(s)) for s in sigma)
@@ -174,10 +170,9 @@ def _shot_normals(seed: int, lo: int, hi: int) -> np.ndarray:
 
 def _chunk_sums(kernels: Sequence[_ShotKernel], seed: int, lo: int, hi: int) -> np.ndarray:
     """One row per kernel, all scored on one draw of the normals of shots
-    [lo, hi): the sum of f_ac's per-shot deviations from its reference, then
-    of their squares. Summing the C-contiguous (n, 2) array of both over
-    axis 0 adds its rows in shot order; a 1-D sum would add pairwise, in
-    another order and so to other bits."""
+    [lo, hi): the sum of f_ac's per-shot deviations from ``ref[2]``, then of
+    their squares. Both are summed as one C-contiguous (n, 2) array over
+    axis 0, which adds rows in shot order (a 1-D sum adds pairwise)."""
     z = _shot_normals(seed, lo, hi)
     sums = np.empty((len(kernels), 2))
     for kernel, row in zip(kernels, sums):
@@ -189,8 +184,7 @@ def _chunk_sums(kernels: Sequence[_ShotKernel], seed: int, lo: int, hi: int) -> 
 
 def _estimate(kernels: Sequence[_ShotKernel], shots: int, seed: int, workers: int) -> list[McEstimate]:
     """One estimate per kernel, all from one draw of `shots` shots; each has
-    the bits of its kernel run on its own. f_tr and f_ab are the kernel's
-    exact values, with no spread once there are two shots."""
+    the bits of its kernel run on its own."""
     n = shots
     totals = np.zeros((len(kernels), 2))
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -200,10 +194,10 @@ def _estimate(kernels: Sequence[_ShotKernel], shots: int, seed: int, workers: in
                 totals += part  # chunk order, never completion order
     estimates = []
     for kernel, (s, q) in zip(kernels, totals.tolist()):
-        # Every score lies in [0, 1], so the rounded mean is kept there.
+        # Every f_ac score lies in [0, 1], so the rounded mean is kept there.
         f_ac = min(max(kernel.ref[2] + s / n, 0.0), 1.0)
-        exact, sampled = math.inf, math.inf
-        if n > 1:
+        exact = sampled = math.inf
+        if n > 1:  # f_tr and f_ab are exact
             exact, sampled = 0.0, math.sqrt(max(q - s * s / n, 0.0) / (n - 1) / n)
         estimates.append(McEstimate(kernel.ref[0], kernel.ref[1], f_ac, exact, exact, sampled, shots=int(n)))
     return estimates
