@@ -391,6 +391,17 @@ class TestTensorAndPartialTrace:
     def test_numpy_integer_mode_count_is_stored_as_int(self):
         assert type(GaussianState(np.int64(1), np.zeros(2), 0.5 * np.eye(2)).modes) is int
 
+    @pytest.mark.parametrize("keep, message", [
+        ([5], "mode index must be an integer in [0, 5), got 5"),
+        ([True], "mode index must be an integer in [0, 5), got True"),
+        ([0, 0], "keep list has repeated modes: [0, 0]"),
+        (3, "keep must be a sequence of mode indices, got 3"),
+    ])
+    def test_keep_error_class_and_message_are_pinned(self, keep, message):
+        with pytest.raises(InvalidInputError) as caught:
+            partial_trace(vacuum(5), keep)
+        assert type(caught.value) is InvalidInputError and str(caught.value) == message
+
     def test_repeated_mode_message_reads_plain_ints(self):
         st = vacuum(2)
         with pytest.raises(InvalidInputError, match=r"^keep list has repeated modes: \[0, 0\]$"):

@@ -9,6 +9,7 @@ from telegame import (
     DomainError,
     GaussianState,
     InvalidInputError,
+    TelegameError,
     build_cm,
     channel_params,
     f_ab_coop,
@@ -346,3 +347,25 @@ def test_large_alpha_outcomes_are_pinned(alpha, outcomes):
             with pytest.raises(InvalidInputError) as caught:
                 run()
         assert type(caught.value) is InvalidInputError and str(caught.value) == message
+
+
+# Exact class and message of each input error both pipelines raise, in the
+# order they check their inputs.
+PIPELINE_INPUT_ERRORS = {
+    "input-none": (2.0, None, InvalidInputError, "amplitude must be a ComplexAmplitude, got None"),
+    "input-overflows": (2.0, ComplexAmplitude(1e308, 0.0), InvalidInputError, "mean vector contains non-finite entries"),
+    "alpha-below-domain": (
+        0.49, ComplexAmplitude(0.0, 0.0), DomainError, "alpha must be >= 1/2 (got 0.49); below it the channel is unphysical"
+    ),
+    "alpha-bool": (True, ComplexAmplitude(0.0, 0.0), InvalidInputError, "alpha must be a real number, got True"),
+}
+
+
+@pytest.mark.parametrize("alpha, amp, error, message", PIPELINE_INPUT_ERRORS.values(), ids=PIPELINE_INPUT_ERRORS)
+def test_pipeline_input_errors_are_pinned(alpha, amp, error, message):
+    zero = ComplexAmplitude(0.0, 0.0)
+    for run in (lambda: run_noncoop_pipeline(alpha, amp, zero), lambda: run_coop_pipeline(alpha, amp, zero, zero)):
+        with np.errstate(over="ignore"):  # at 1e308, S @ mean overflows before the check
+            with pytest.raises(TelegameError) as caught:
+                run()
+        assert type(caught.value) is error and str(caught.value) == message
