@@ -144,11 +144,14 @@ def vacuum(n_modes: int = 1) -> GaussianState:
     return GaussianState._trusted(n_modes, np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes))
 
 
+def _coherent_mean(amp: ComplexAmplitude) -> np.ndarray:
+    """Quadrature mean of the coherent state `amp`, checked finite: sqrt(2) amp can overflow."""
+    return _real_array(_instance(amp, ComplexAmplitude, "amplitude").as_mean(), (2,), "mean vector")
+
+
 def make_coherent(amp: ComplexAmplitude) -> GaussianState:
     """Single-mode coherent state with the given amplitude."""
-    amp = _instance(amp, ComplexAmplitude, "amplitude")
-    mean = _real_array(amp.as_mean(), (2,), "mean vector")  # sqrt(2) amp can overflow
-    return GaussianState._trusted(1, mean, 0.5 * np.eye(2))
+    return GaussianState._trusted(1, _coherent_mean(amp), 0.5 * np.eye(2))
 
 
 def tensor(s1: GaussianState, s2: GaussianState) -> GaussianState:
@@ -217,7 +220,12 @@ def displace(state: GaussianState, mode: int, amp: ComplexAmplitude) -> Gaussian
 
 
 def partial_trace(state: GaussianState, keep) -> GaussianState:
-    """Reduced state on the listed modes, in the order given."""
+    """Reduced state on the listed modes, in the order given.
+
+    The one reader of a mode's mean and covariance block. After every check
+    on `keep`, a single kept mode is read with basic slices and several with
+    index arrays; both copy the same entries, so they agree bit for bit.
+    """
     _instance(state, GaussianState, "state")
     try:
         keep = list(keep)
@@ -228,6 +236,9 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
     keep = [require_int("mode index", m, 0, state.modes) for m in keep]
     if len(set(keep)) != len(keep):
         raise InvalidInputError(f"keep list has repeated modes: {keep}")
+    if len(keep) == 1:
+        q = 2 * keep[0]
+        return GaussianState._trusted(1, state.mean[q : q + 2].copy(), state.cov[q : q + 2, q : q + 2].copy())
     idx = _mode_slices(keep)
     return GaussianState._trusted(len(keep), state.mean[idx], state.cov[idx[:, None], idx])
 

@@ -27,15 +27,13 @@ from .gaussian import (
     GaussianState,
     ZERO_AMPLITUDE,
     _checked_symplectic,
+    _coherent_mean,
     _evolve,
     _instance,
     _real_array,
     beam_splitter_matrix,
     fidelity_vs_coherent,
-    make_coherent,
     partial_trace,
-    tensor,
-    vacuum,
 )
 
 # Mode layout of both pipelines: 0 = input, 1 = sender's channel mode,
@@ -46,6 +44,13 @@ _MODES = 5
 _X, _P = 0, 1  # quadrature offsets within a mode
 # Charlie's heterodyne reads x of Charlie's port and p of the ancilla's port
 _HET = np.array([2 * _C + _X, 2 * _ANC + _P])
+# Read-only parts shared by every run: the identity each sum gate starts
+# from, the vacuum block (1/2) I, and the joint covariance before the
+# channel's block is written, with the input's and the ancilla's (1/2) I.
+_IDENTITY = np.eye(2 * _MODES)
+_HALF_I2 = 0.5 * np.eye(2)
+_JOINT_COV = np.diag([0.5, 0.5] + [0.0] * 6 + [0.5, 0.5])
+_IDENTITY.flags.writeable = _HALF_I2.flags.writeable = _JOINT_COV.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,7 @@ def sum_gate(control: int, target: int, gain: float, q: int) -> np.ndarray:
     """QND coupling on [in, a, b, c, anc]: quadrature q (_X or _P) of the
     target gains gain times that of the control, and the other quadrature of
     the control takes the back-action -gain times the target's."""
-    S = np.eye(2 * _MODES)
+    S = _IDENTITY.copy()
     S[2 * target + q, 2 * control + q] = gain
     S[2 * control + 1 - q, 2 * target + 1 - q] = -gain
     return S
@@ -181,9 +186,13 @@ def coop_symplectic(params: ChannelParams) -> np.ndarray:
 
 def _joint_state(alpha: float, input_amp: ComplexAmplitude) -> tuple[GaussianState, ChannelParams]:
     """Coherent input, channel and vacuum ancilla on [in, a, b, c, anc], with
-    the channel's coefficients."""
-    coherent, params = make_coherent(input_amp), channel_params(alpha)
-    return tensor(tensor(coherent, build_cm(params)), vacuum(1)), params
+    the channel's coefficients: the blocks their tensor product holds, the
+    input's mean and the channel's covariance written in place."""
+    input_mean, params = _coherent_mean(input_amp), channel_params(alpha)
+    mean, cov = np.zeros(2 * _MODES), _JOINT_COV.copy()
+    mean[2 * _IN : 2 * _IN + 2] = input_mean
+    cov[2 * _A : 2 * _ANC, 2 * _A : 2 * _ANC] = build_cm(params).cov
+    return GaussianState._trusted(_MODES, mean, cov), params
 
 
 def _outcome(st: GaussianState, charlie: GaussianState, input_amp: ComplexAmplitude) -> StrategyOutcome:
@@ -231,6 +240,6 @@ def run_coop_pipeline(
     st = _evolve(joint, coop_symplectic(params))
     charlie = GaussianState._trusted(
         1, _real_array(_SQRT2 * st.mean[_HET], (2,), "mean vector"),
-        2.0 * st.cov[_HET[:, None], _HET] + 0.5 * np.eye(2),
+        2.0 * st.cov[_HET[:, None], _HET] + _HALF_I2,
     )
     return _outcome(st, charlie, input_amp)

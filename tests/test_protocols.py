@@ -18,14 +18,18 @@ from telegame import (
     f_noncoop,
     fidelity_vs_coherent,
     kappa,
+    make_coherent,
     modified_shift,
+    partial_trace,
     run_coop_pipeline,
     run_noncoop_pipeline,
     sweep,
     symplectic_form,
+    tensor,
+    vacuum,
 )
-from telegame.gaussian import beam_splitter_matrix
-from telegame.checks import GRID as CHECK_GRID
+from telegame.gaussian import _evolve, beam_splitter_matrix
+from telegame.checks import GRID as CHECK_GRID, random_tuples as check_tuples
 from telegame.protocols import (
     _ANC,
     _C,
@@ -34,6 +38,7 @@ from telegame.protocols import (
     _NONCOOP_SYMPLECTIC,
     _P,
     _X,
+    _joint_state,
     coop_symplectic,
     sum_gate,
 )
@@ -250,6 +255,31 @@ class TestCoopPipeline:
         ancilla's port, so the feedforward to Bob must not touch those rows."""
         rows = [2 * _C, 2 * _ANC + 1]
         np.testing.assert_array_equal(coop_symplectic(channel_params(alpha))[rows], _HETERODYNED_SYMPLECTIC[rows])
+
+
+class TestDirectAssembly:
+    """The pipelines' joint state, written in place, and the single-mode
+    read by slices, against the tensor products and the index-array read
+    they replace: equal entry for entry."""
+
+    CASES = [(alpha, amp) for alpha, amp, _, _ in check_tuples(100)]
+    CASES += [(alpha, ComplexAmplitude(0.7, -0.1)) for alpha in (0.5, 2.0, 1e6)]
+
+    def test_joint_state_matches_tensor_products(self):
+        for alpha, amp in self.CASES:
+            joint, params = _joint_state(alpha, amp)
+            want = tensor(tensor(make_coherent(amp), build_cm(channel_params(alpha))), vacuum(1))
+            assert joint.modes == want.modes and params == channel_params(alpha)
+            assert np.array_equal(joint.mean, want.mean) and np.array_equal(joint.cov, want.cov)
+
+    def test_single_mode_read_matches_index_arrays(self):
+        for alpha, amp in self.CASES:
+            joint, params = _joint_state(alpha, amp)
+            for st in (joint, _evolve(joint, _NONCOOP_SYMPLECTIC), _evolve(joint, coop_symplectic(params))):
+                for m in range(_MODES):
+                    idx = np.array([2 * m, 2 * m + 1])
+                    got = partial_trace(st, [m])
+                    assert np.array_equal(got.mean, st.mean[idx]) and np.array_equal(got.cov, st.cov[idx[:, None], idx])
 
 
 class TestRecordIndependence:
