@@ -181,8 +181,12 @@ def _checked_symplectic(S, n_modes: int) -> np.ndarray:
 
 
 def _evolve(state: GaussianState, S: np.ndarray) -> GaussianState:
-    """:func:`apply_symplectic` for an S checked when built; S cov S^T rounds, so it is checked."""
-    return GaussianState(state.modes, S @ state.mean, S @ state.cov @ S.T)
+    """:func:`apply_symplectic` for an S checked when built; S cov S^T rounds, so it is checked.
+    An entry that overflows reaches the check as inf or nan, which raises the
+    typed error without a numpy warning first."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, cov = S @ state.mean, S @ state.cov @ S.T
+    return GaussianState(state.modes, mean, cov)
 
 
 def beam_splitter_matrix(n_modes: int, i: int, j: int) -> np.ndarray:

@@ -55,11 +55,11 @@ _IDENTITY.flags.writeable = _HALF_I2.flags.writeable = _JOINT_COV.flags.writeabl
 
 @dataclass(frozen=True)
 class StrategyOutcome:
-    """Per-run result of a strategy pipeline."""
+    """Per-run result of a strategy pipeline; compares and hashes by value."""
 
     fidelity_bob: float
     fidelity_charlie: float
-    mean_residual_bob: np.ndarray
+    mean_residual_bob: tuple[float, float]
 
 
 # --- closed forms -----------------------------------------------------------
@@ -201,7 +201,7 @@ def _outcome(st: GaussianState, charlie: GaussianState, input_amp: ComplexAmplit
     return StrategyOutcome(
         fidelity_bob=fidelity_vs_coherent(bob, input_amp),
         fidelity_charlie=fidelity_vs_coherent(charlie, input_amp),
-        mean_residual_bob=bob.mean - input_amp.as_mean(),
+        mean_residual_bob=tuple((bob.mean - input_amp.as_mean()).tolist()),
     )
 
 

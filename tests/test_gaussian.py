@@ -260,7 +260,7 @@ CONTRACT = {
     "InvalidInputError": (("message",), {0}),
     "McConfig": ((10, 1, 2.0), set()),
     "McEstimate": ((0.6, 0.7, 0.4, 0.0, 0.0, 0.01, 10), set(range(7))),
-    "StrategyOutcome": ((0.6, 0.6, np.zeros(2)), {0, 1, 2}),
+    "StrategyOutcome": ((0.6, 0.6, (0.0, 0.0)), {0, 1, 2}),
     "SweepRow": ((2.0, 0.6, 0.7, 0.4, 0.55), set(range(5))),
     "TelegameError": (("message",), {0}),
     "ThresholdResult": ((5.76, 0.5, 10, 0.0, 0.01), set(range(5))),

@@ -10,13 +10,19 @@ of `MC_ALPHAS` (seed 7; every stderr infinite), and 2000 shots at alpha = 8e6
 and names every value that moved:
 
     PYTHONPATH=src python tests/test_pinned_numbers.py --regenerate
+
+The pipelines' `@` reaches the BLAS kernel, whose summation order can move
+last bits (`OPENBLAS_CORETYPE=Nehalem` does), so a failure names the BLAS
+build and that variable.
 """
 
 import json
+import os
 import sys
 from dataclasses import astuple
 from pathlib import Path
 
+import numpy as np
 from telegame import (
     McConfig,
     estimate_fidelities,
@@ -46,7 +52,7 @@ def _hex(values):
 
 
 def _pipeline_fields(out):
-    return [out.fidelity_bob, out.fidelity_charlie, *out.mean_residual_bob.tolist()]
+    return [out.fidelity_bob, out.fidelity_charlie, *out.mean_residual_bob]
 
 
 def current_numbers() -> dict:
@@ -84,9 +90,19 @@ def _differences(pinned, current, path=""):
         yield f"{path}: pinned {pinned!r}, now {current!r}"
 
 
+def _blas_build() -> str:
+    """The BLAS numpy was built against, and the OpenBLAS kernel override."""
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        blas = {}
+    build = " ".join(str(blas.get(key, "?")) for key in ("name", "version", "openblas configuration"))
+    return f"BLAS {build} (numpy {np.__version__}), OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE')!r}"
+
+
 def test_numbers_match_pinned_file_bit_for_bit():
     moved = list(_differences(json.loads(PINNED.read_text()), current_numbers()))
-    assert not moved, f"{len(moved)} numbers moved, first ones:\n" + "\n".join(moved[:10])
+    assert not moved, f"{len(moved)} numbers moved on {_blas_build()}, first ones:\n" + "\n".join(moved[:10])
 
 
 if __name__ == "__main__":

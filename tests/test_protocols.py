@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -292,7 +293,7 @@ class TestRecordIndependence:
 
     @staticmethod
     def _fields(out):
-        return out.fidelity_bob, out.fidelity_charlie, out.mean_residual_bob.tolist()
+        return out.fidelity_bob, out.fidelity_charlie, out.mean_residual_bob
 
     def test_noncoop(self):
         amp = ComplexAmplitude(0.7, -1.1)
@@ -373,9 +374,8 @@ def test_large_alpha_outcomes_are_pinned(alpha, outcomes):
         if message is None:
             assert math.isfinite(run().fidelity_bob)
             continue
-        with np.errstate(over="ignore", invalid="ignore"):  # S cov S^T overflows before the check
-            with pytest.raises(InvalidInputError) as caught:
-                run()
+        with pytest.raises(InvalidInputError) as caught:
+            run()
         assert type(caught.value) is InvalidInputError and str(caught.value) == message
 
 
@@ -395,7 +395,25 @@ PIPELINE_INPUT_ERRORS = {
 def test_pipeline_input_errors_are_pinned(alpha, amp, error, message):
     zero = ComplexAmplitude(0.0, 0.0)
     for run in (lambda: run_noncoop_pipeline(alpha, amp, zero), lambda: run_coop_pipeline(alpha, amp, zero, zero)):
-        with np.errstate(over="ignore"):  # at 1e308, S @ mean overflows before the check
-            with pytest.raises(TelegameError) as caught:
-                run()
+        with pytest.raises(TelegameError) as caught:
+            run()
         assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_overflowing_evolution_raises_typed_error_without_warning():
+    """At input 1e308, S @ mean overflows: under warnings as errors the caller
+    still gets the typed error, not numpy's RuntimeWarning."""
+    amp, zero = ComplexAmplitude(1e308, 0.0), ComplexAmplitude(0.0, 0.0)
+    for run in (lambda: run_noncoop_pipeline(2.0, amp, zero), lambda: run_coop_pipeline(2.0, amp, zero, zero)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="^mean vector contains non-finite entries$"):
+                run()
+
+
+def test_outcomes_compare_and_hash_by_value():
+    amp, zero = ComplexAmplitude(0.7, -0.1), ComplexAmplitude(0.0, 0.0)
+    for run in (lambda: run_noncoop_pipeline(2.0, amp, zero), lambda: run_coop_pipeline(2.0, amp, zero, zero)):
+        one, two = run(), run()
+        assert one == two and hash(one) == hash(two)
+        assert type(one.mean_residual_bob) is tuple and len(one.mean_residual_bob) == 2
