@@ -379,8 +379,7 @@ def test_large_alpha_outcomes_are_pinned(alpha, outcomes):
         assert type(caught.value) is InvalidInputError and str(caught.value) == message
 
 
-# Exact class and message of each input error both pipelines raise, in the
-# order they check their inputs.
+# Exact class and message of each input error both pipelines raise.
 PIPELINE_INPUT_ERRORS = {
     "input-none": (2.0, None, InvalidInputError, "amplitude must be a ComplexAmplitude, got None"),
     "input-overflows": (2.0, ComplexAmplitude(1e308, 0.0), InvalidInputError, "mean vector contains non-finite entries"),
