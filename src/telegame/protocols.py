@@ -25,7 +25,6 @@ from .gaussian import (
     _SQRT2,
     ComplexAmplitude,
     GaussianState,
-    ZERO_AMPLITUDE,
     _checked_symplectic,
     _coherent_mean,
     _evolve,
@@ -103,22 +102,18 @@ def modified_shift(
     correlated mode.
     """
     eta, mu = _instance(eta, ComplexAmplitude, "eta"), _instance(mu, ComplexAmplitude, "mu")
-    params = _instance(params, ChannelParams, "params")
-    coeff = (params.delta - params.gamma) / (params.beta + 0.5)
+    coeff = _shift_coefficient(params)
     return ComplexAmplitude(
         eta.re + coeff * (mu.re - eta.re),
         eta.im + coeff * (mu.im - eta.im),
     )
 
 
-def _correction_gain(params: ChannelParams) -> float:
-    """Feedforward coefficient of the cooperative correction.
-
-    Probed from :func:`modified_shift` itself so the pipeline and the formula
-    cannot drift apart: eta' - eta at (eta=0, mu=1) is the coefficient.
-    """
-    probe = modified_shift(ZERO_AMPLITUDE, ComplexAmplitude(1.0, 0.0), params)
-    return probe.re
+def _shift_coefficient(params: ChannelParams) -> float:
+    """(delta - gamma)/(beta + 1/2): the one definition of the cooperative
+    correction's coefficient, read by :func:`modified_shift` and the circuit."""
+    params = _instance(params, ChannelParams, "params")
+    return (params.delta - params.gamma) / (params.beta + 0.5)
 
 
 # --- ensemble feedforward gates ---------------------------------------------
@@ -169,7 +164,7 @@ def coop_symplectic(params: ChannelParams) -> np.ndarray:
     feedforward is built per call; each sum gate is symplectic at any real
     gain, so the product is not checked again.
     """
-    gain = _correction_gain(params) * _SQRT2
+    gain = _shift_coefficient(params) * _SQRT2
     # heterodyne result (quadrature units) is sqrt(2) * (x of Charlie's port,
     # p of ancilla port); Bob displaces by the coefficient times (mu - eta)
     return _compose([

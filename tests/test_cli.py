@@ -5,7 +5,6 @@ import warnings
 
 import pytest
 
-from telegame import ComplexAmplitude
 from telegame import checks, cli
 from telegame.montecarlo import _MAX_SHOTS, _MAX_WORKERS
 
@@ -246,21 +245,22 @@ class TestVerifyCommand:
         assert float(lines[0].split()[2]) >= 0.02
 
     def test_sign_mutation_is_caught(self, capsys, monkeypatch):
-        """Flipping the sign of the cooperative correction must trip the
-        helped-receiver pipeline check."""
+        """Negating the cooperative correction's one coefficient reaches both
+        Gaussian paths: the circuit's feedforward and the Monte-Carlo chain's
+        modified shift. Exactly the helped receiver's pipeline check and the
+        Monte-Carlo consistency check must fail."""
+        from telegame import protocols
 
-        def flipped(eta, mu, params):
-            coeff = (params.delta - params.gamma) / (params.beta + 0.5)
-            return ComplexAmplitude(
-                eta.re - coeff * (mu.re - eta.re),
-                eta.im - coeff * (mu.im - eta.im),
-            )
-
-        monkeypatch.setattr("telegame.protocols.modified_shift", flipped)
-        code, out, err = run(capsys, "verify")
-        checks._mc_estimates.cache_clear()  # drop results computed with the mutation
-        checks._mc_kernels.cache_clear()
+        coefficient = protocols._shift_coefficient
+        monkeypatch.setattr(protocols, "_shift_coefficient", lambda params: -coefficient(params))
+        checks._mc_kernels.cache_clear()  # build the kernels under the mutation
+        checks._mc_estimates.cache_clear()
+        try:
+            code, out, err = run(capsys, "verify")
+        finally:
+            checks._mc_kernels.cache_clear()  # drop results computed with the mutation
+            checks._mc_estimates.cache_clear()
         assert code == 1
-        failing = [line for line in out.splitlines() if line.startswith("FAIL")]
-        assert any("pipeline-fab-matches-closed-form" in line for line in failing)
-        assert "pipeline-fab-matches-closed-form" in err
+        failing = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+        assert failing == ["pipeline-fab-matches-closed-form", "mc-consistency"]
+        assert "failed: pipeline-fab-matches-closed-form, mc-consistency" in err
