@@ -25,15 +25,19 @@ from telegame import (
     homodyne_update,
     make_coherent,
     partial_trace,
+    run_coop_pipeline,
+    run_noncoop_pipeline,
     tensor,
 )
-from telegame import montecarlo, protocols
-from telegame.checks import MC_ALPHAS, compare_to_closed_forms
+from telegame import checks, montecarlo, protocols
+from telegame.checks import MC_ALPHAS, compare_to_closed_forms, random_tuples
 from telegame.montecarlo import (
     _CHUNK, _MAX_SHOTS, _MAX_WORKERS, _WINDOW, _ShotKernel, _chunk_sums, _estimate, _shot_normals,
 )
 
 from oracles import scalar_chunk_sums
+
+EPS = np.finfo(float).eps
 
 
 class TestShotKernel:
@@ -138,6 +142,95 @@ class TestShotKernel:
             measurer = partial_trace(displace(st, 1, ComplexAmplitude(-m[0], m[1])), [1])
             mu = measurer.mean + np.linalg.cholesky(measurer.cov + 0.5 * np.eye(2)) @ z[4:6]
             np.testing.assert_allclose(w @ z, mu - u, rtol=0, atol=1e-12)
+
+
+def _at_scale(scale, fn, *args):
+    """fn(*args) with the cooperative shift coefficient times `scale`: one
+    patch reaches the circuit's feedforward and the Monte-Carlo chain."""
+    coefficient = protocols._shift_coefficient
+    protocols._shift_coefficient = lambda params: scale * coefficient(params)
+    try:
+        return fn(*args)
+    finally:
+        protocols._shift_coefficient = coefficient
+        checks._mc_kernels.cache_clear()  # nothing built under the scale may outlive it
+        checks._mc_estimates.cache_clear()
+
+
+class TestShiftCoefficient:
+    """The paper's correction coefficient, scaled by s, on both Gaussian paths.
+
+    Physics. Bob's conditional covariance does not depend on his displacement,
+    and his mismatch is affine in s, so its record columns are J + s K per
+    quadrature q (the chain is quadrature-separable). If s = 1 is the
+    least-squares gain of each quadrature, the record-averaged variance is
+    c_q + |K_q|^2 (s - 1)^2, and F(s) = ref[1] = ((c_x + |K_x|^2 (s - 1)^2)
+    (c_p + |K_p|^2 (s - 1)^2))^(-1/2) is even in s - 1: its central
+    difference has no truncation error at any step h, and its second
+    difference is negative. At s = 0 Bob is conditioned on Charlie's record
+    and not displaced; averaged over the records that is his unconditioned
+    state (the law of total covariance), so ref[1] = ref[0]: Charlie's
+    heterodyne alone does not signal.
+
+    Bounds, in eps = 2^-52, set before the differences were looked at. Each
+    ref is within E = 4 eps (1 + alpha) of its exact value: the kernel's
+    error model is c eps alpha with c at most 1.1 up to alpha = 1e12, and
+    (1 + alpha) covers the O(1) steps at small alpha. So with h = 1e-3:
+    - |F(1 + h) - F(1 - h)| / 2h <= 2E / 2h = E / h (9.8e-12 at alpha = 10);
+    - the second difference rounds by at most 4E / h^2 (5.3e-9 at 0.5), and
+      it must be below minus that;
+    - |ref[1] - ref[0]| <= 2E at s = 0 (2.0e-14 at alpha = 10).
+
+    The pipeline at s = 0 needs no rounding bound. Each of Bob's four sum
+    gates is then the identity, so the circuit is the standard one continued
+    by the heterodyne's beam splitter, which leaves Bob's rows as they were:
+    his state, hence his fidelity, has the standard pipeline's bits. Those
+    rows are exact integers and the channel's mean is zero, so his mean is
+    the input's and the residual is exactly 0.
+
+    Measured at MC_ALPHAS: the first difference is at most 5.6e-14, the
+    second runs from -0.021 (alpha = 0.5) to -1.12 (alpha = 10), and
+    |ref[1] - ref[0]| at s = 0 is at most 1.1e-16.
+    """
+
+    H = 1e-3
+
+    @staticmethod
+    def error(alpha):
+        """E: how far each ref may round from its exact value."""
+        return 4.0 * EPS * (1.0 + alpha)
+
+    @pytest.mark.parametrize("alpha", MC_ALPHAS)
+    def test_helped_reference_is_a_maximum_at_the_paper_gain(self, alpha):
+        error = self.error(alpha)
+        scales = (1.0 - self.H, 1.0, 1.0 + self.H)
+        lower, centre, upper = (_at_scale(s, _ShotKernel, alpha).ref[1] for s in scales)
+        assert centre == _ShotKernel(alpha).ref[1]
+        assert abs(upper - lower) / (2.0 * self.H) <= error / self.H
+        assert (upper - 2.0 * centre + lower) / self.H**2 < -4.0 * error / self.H**2
+
+    @pytest.mark.parametrize("alpha", MC_ALPHAS)
+    def test_a_gain_off_by_1e_9_is_not_stationary(self, alpha):
+        """The first difference moves by F'' times the gain's offset, about
+        2e-11 at alpha = 0.5 and 1e-9 at 10: past its bound at every alpha."""
+        error = self.error(alpha)
+        scales = ((1.0 + 1e-9) * (1.0 - self.H), (1.0 + 1e-9) * (1.0 + self.H))
+        lower, upper = (_at_scale(s, _ShotKernel, alpha).ref[1] for s in scales)
+        assert abs(upper - lower) / (2.0 * self.H) > error / self.H
+
+    @pytest.mark.parametrize("alpha", MC_ALPHAS)
+    def test_heterodyne_alone_does_not_signal_to_the_kernel(self, alpha):
+        kernel = _at_scale(0.0, _ShotKernel, alpha)
+        assert abs(kernel.ref[1] - kernel.ref[0]) <= 2.0 * self.error(alpha)
+
+    def test_heterodyne_alone_does_not_signal_to_the_pipeline(self):
+        def bob_both_ways():
+            return [(run_coop_pipeline(alpha, amp, eta, mu), run_noncoop_pipeline(alpha, amp, eta))
+                    for alpha, amp, eta, mu in random_tuples(100)]
+
+        for coop, standard in _at_scale(0.0, bob_both_ways):
+            assert coop.fidelity_bob == standard.fidelity_bob
+            assert coop.mean_residual_bob == standard.mean_residual_bob == (0.0, 0.0)
 
 
 class TestEstimator:
