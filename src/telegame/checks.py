@@ -29,6 +29,10 @@ from .protocols import (
 # comparison meaningful for estimators whose sample spread is exactly zero
 STAT_FLOOR = 1e-12
 
+# The float nearest alpha_th: with s = sqrt((2 alpha - 1)/(alpha + 1)) it is
+# the root in [1, 50] of -4s^6 + 30s^5 - 9s^4 - 228s^3 + 345s^2 + 12s - 163.
+ALPHA_TH_EXACT = 5.7615647384767374
+
 GRID = np.linspace(0.5, 50.0, 500)
 MC_ALPHAS = (0.5, 2.0, 5.76, 10.0)
 
@@ -75,8 +79,8 @@ def _check_noncloning_optimum():
 
 def _check_threshold():
     res = find_threshold(1e-9)
-    if not 5.70 <= res.alpha_th <= 5.82:
-        return f"alpha_th = {res.alpha_th} outside [5.70, 5.82]"
+    if abs(res.alpha_th - ALPHA_TH_EXACT) > res.bracket_width / 2:
+        return f"alpha_th = {res.alpha_th} off {ALPHA_TH_EXACT} by more than half its bracket {res.bracket_width}"
     gap = abs(f_coop_avg(res.alpha_th) - f_noncoop(res.alpha_th))
     if gap > 1e-9:
         return f"strategy gap {gap} at alpha_th above 1e-9"

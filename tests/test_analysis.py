@@ -2,8 +2,10 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+import exact
 from telegame import (
     BracketError,
     DomainError,
@@ -15,6 +17,8 @@ from telegame import (
     sweep,
 )
 from telegame.analysis import _bisect
+from telegame.checks import ALPHA_TH_EXACT
+from test_closed_form_oracle import oracle
 
 TH_GAP = lambda a: f_coop_avg(a) - f_noncoop(a)
 TR_GAP = lambda a: f_noncoop(a) - 0.5
@@ -189,3 +193,56 @@ class TestRootFinding:
         """Only a strict sign change brackets a root."""
         with pytest.raises(BracketError, match="no sign change"):
             _bisect(fn, 0.0, 1.0, 1e-9)
+
+
+# polynomial, float gap, solver interval, and the gap on the 420-digit oracle
+EXACT_CASES = {
+    "threshold": (exact.THRESHOLD, TH_GAP, 1.0, 50.0,
+                  lambda o: (o["f_ab_coop"] + o["f_ac_coop"]) / 2 - o["f_noncoop"]),
+    "noncoop-classical": (exact.STANDARD_CROSSING, TR_GAP, 2.0, 200.0, lambda o: o["f_noncoop"] - 0.5),
+    "coop-classical": (exact.COOP_CROSSING, COOP_GAP, 2.0, 200.0,
+                       lambda o: (o["f_ab_coop"] + o["f_ac_coop"]) / 2 - 0.5),
+}
+TOLS = (1e-3, 1e-6, 1e-9, 1e-12)
+
+
+class TestExactRoots:
+    """The solvers against the exact roots of tests/exact.py's polynomials.
+
+    These check the bisection and the float closed forms it reads, not the
+    physics: the polynomials are derived from the same closed forms.
+    """
+
+    @pytest.mark.parametrize("case", EXACT_CASES)
+    def test_one_root_on_the_solver_interval_and_the_oracle_gap_vanishes(self, case):
+        coefficients, _, lo, hi, oracle_gap = EXACT_CASES[case]
+        (root,) = exact.alpha_roots(coefficients, lo, hi)
+        with mpmath.workdps(exact.DIGITS):
+            assert abs(oracle_gap(oracle(root))) <= mpmath.mpf(10) ** (5 - exact.DIGITS)
+
+    def test_known_values(self):
+        (alpha_th,) = exact.alpha_roots(exact.THRESHOLD, 1.0, 50.0)
+        (alpha_tr,) = exact.alpha_roots(exact.STANDARD_CROSSING, 2.0, 200.0)
+        (alpha_coop,) = exact.alpha_roots(exact.COOP_CROSSING, 2.0, 200.0)
+        with mpmath.workdps(exact.DIGITS):
+            assert mpmath.nstr(alpha_th, 20) == "5.7615647384767373573"
+            assert mpmath.nstr(alpha_coop, 20) == "51.191698229015438513"
+            assert abs(alpha_tr - (5 + 2 * mpmath.sqrt(5))) <= mpmath.mpf(10) ** (5 - exact.DIGITS)
+        assert ALPHA_TH_EXACT == float(alpha_th)
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_threshold_lies_within_half_its_bracket(self, tol):
+        (root,) = exact.alpha_roots(exact.THRESHOLD, 1.0, 50.0)
+        res = find_threshold(tol)
+        with mpmath.workdps(exact.DIGITS):
+            assert abs(res.alpha_th - root) <= res.bracket_width / 2
+
+    @pytest.mark.parametrize("tol", TOLS)
+    @pytest.mark.parametrize("index, case", enumerate(["noncoop-classical", "coop-classical"]))
+    def test_crossing_lies_within_half_its_bracket(self, index, case, tol):
+        coefficients, gap, lo, hi, _ = EXACT_CASES[case]
+        (root,) = exact.alpha_roots(coefficients, lo, hi)
+        alpha, _, _, width = _bisect(gap, lo, hi, tol)
+        assert alpha == find_classical_crossings(tol)[index]
+        with mpmath.workdps(exact.DIGITS):
+            assert abs(alpha - root) <= width / 2
