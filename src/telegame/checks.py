@@ -29,12 +29,9 @@ from .protocols import (
 # comparison meaningful for estimators whose sample spread is exactly zero
 STAT_FLOOR = 1e-12
 
-# The float nearest alpha_th: with s = sqrt((2 alpha - 1)/(alpha + 1)) it is
-# the root in [1, 50] of -4s^6 + 30s^5 - 9s^4 - 228s^3 + 345s^2 + 12s - 163.
-ALPHA_TH_EXACT = 5.7615647384767374
-
 GRID = np.linspace(0.5, 50.0, 500)
 MC_ALPHAS = (0.5, 2.0, 5.76, 10.0)
+ALPHA_TH_EXACT = 5.7615647384767374  # nearest float to the root of tests/exact.py's THRESHOLD
 
 
 def random_tuples(count):

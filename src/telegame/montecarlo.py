@@ -15,8 +15,8 @@ contract: shot k draws from a stream derived only from (seed, k), and partial
 sums are reduced over fixed-size chunks in index order as a fixed window of
 chunks arrives, so results are bit-identical for any degree of parallelism
 and memory is flat in shots. Only the draws run per shot, at about 410k
-shots/s on one core of a shared 2-vCPU host, and their state resets hold
-the GIL, so more workers do not run faster yet.
+shots/s on one core of a shared 2-vCPU host; their state resets likely hold
+the GIL, so two workers run between par and about half the speed of one.
 
 Several alphas that share a seed draw the same normals, so the driver can
 score many kernels on one draw (common random numbers): `verify` scores its
@@ -54,8 +54,8 @@ from .protocols import modified_shift
 
 _CHUNK = 4096  # reduction granularity; fixed so thread count cannot reorder sums
 _MAX_SHOTS = 10**9  # an input check: 10**9 shots take about 40 minutes at 410k shots/s
-# The GIL serializes the draws, so threads beyond a few add nothing; the pool
-# starts one per submitted chunk up to this many.
+# The draws likely serialize on the GIL (two threads run at par to half the
+# speed of one); the pool starts one per submitted chunk up to this many.
 _MAX_WORKERS = 64
 _WINDOW = _MAX_WORKERS  # chunks in flight at once: one per thread, memory flat in shots
 
