@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from telegame import checks, cli
+from telegame import checks, cli, protocols
 from telegame.montecarlo import _MAX_SHOTS, _MAX_WORKERS
 
 
@@ -249,8 +249,6 @@ class TestVerifyCommand:
         Gaussian paths: the circuit's feedforward and the Monte-Carlo chain's
         modified shift. Exactly the helped receiver's pipeline check and the
         Monte-Carlo consistency check must fail."""
-        from telegame import protocols
-
         coefficient = protocols._shift_coefficient
         monkeypatch.setattr(protocols, "_shift_coefficient", lambda params: -coefficient(params))
         checks._mc_kernels.cache_clear()  # build the kernels under the mutation
